@@ -2065,279 +2065,6 @@ pub fn obs(smoke: bool) -> ObsResult {
 }
 
 // ---------------------------------------------------------------------------
-// E17: raw interpreter speed — host-ns/trap and host-ns/guest-instruction
-// ---------------------------------------------------------------------------
-
-/// One workload's speed measurement (one `BENCH_speed.json` row).
-#[derive(Debug, Clone)]
-pub struct SpeedRow {
-    pub workload: String,
-    pub fp_traps: u64,
-    pub icount: u64,
-    /// Lower-quartile-pair wall with the emulate cache on (ns).
-    pub wall_on_ns: u64,
-    /// Same pair's wall with the cache off — bind every trap (ns).
-    pub wall_off_ns: u64,
-    /// Host ns per FP trap, emulate cache on.
-    pub ns_per_trap: f64,
-    /// Host ns per guest instruction retired, emulate cache on.
-    pub ns_per_guest_inst: f64,
-    /// `wall_off / wall_on`: > 1 means the cache pays on this workload.
-    pub speedup: f64,
-    /// Deterministic views + outputs bit-identical across ecache
-    /// on / off / passthrough-policy and across engine reuse.
-    pub deterministic: bool,
-}
-
-/// The archived E17 record (one `BENCH_speed.json` entry).
-#[derive(Debug, Clone)]
-pub struct SpeedResult {
-    pub workloads: u64,
-    pub reps: u64,
-    /// Microbench: one full bind of the 3-inst mix (ns).
-    pub bind_ns: f64,
-    /// Microbench: resolving the memoized plans for the same mix (ns).
-    pub resolve_ns: f64,
-    /// `resolve_ns / bind_ns`: < 1 means the cached hit path is cheaper.
-    pub resolve_vs_bind: f64,
-    /// Geometric-mean end-to-end speedup across workloads.
-    pub speedup_geomean: f64,
-    /// Every row's determinism gate held.
-    pub deterministic: bool,
-    /// Fig. 9 deterministic stats bit-identical across all three emulate
-    /// cache modes (fbench + lorenz, bigfloat-200, R815).
-    pub fig9_pinned: bool,
-    pub rows: Vec<SpeedRow>,
-}
-
-/// E17: raw interpreter speed. Measures host-ns/trap and host-ns/guest-
-/// instruction across all ten workloads (Vanilla arithmetic so the trap
-/// path, not the arithmetic system, dominates), with the emulate cache on
-/// vs off in alternating pairs (lower-quartile pair by ratio, the E16
-/// protocol); gates per-workload determinism across the three emulate
-/// cache modes and engine reuse; pins the Fig. 9 cycle accounting across
-/// the same modes on the paper configuration; and microbenches the hit
-/// path (`plan.resolve`) against bind-every-trap.
-pub fn speed(smoke: bool) -> SpeedResult {
-    use crate::microbench::{bench_ns, black_box};
-    use fpvm_analysis::analyze_and_patch;
-    use fpvm_core::{bind, plan, PassthroughEmulateCache, Planability};
-    use fpvm_machine::{Gpr, Inst, Mem, Xmm, XM};
-
-    println!("== E17: raw interpreter speed — host-ns/trap, ns/guest-inst (Vanilla, R815) ==");
-    let size = if smoke { Size::Tiny } else { Size::S };
-    let reps = if smoke { 3usize } else { 7 };
-
-    // -- Microbench: the hit path against bind-every-trap ------------------
-    let mut mb = Machine::new(CostModel::r815());
-    mb.gpr[Gpr::RSP.0 as usize] = 0x40_0000;
-    let mix = [
-        Inst::AddSd {
-            dst: Xmm(0),
-            src: XM::Reg(Xmm(1)),
-        },
-        Inst::MulSd {
-            dst: Xmm(2),
-            src: XM::Mem(Mem::base_disp(Gpr::RSP, 8)),
-        },
-        Inst::MulPd {
-            dst: Xmm(3),
-            src: XM::Mem(Mem::base_disp(Gpr::RSP, 16)),
-        },
-    ];
-    let plans: Vec<_> = mix
-        .iter()
-        .map(|i| match plan(i, 0x2000) {
-            Planability::Static(p) => p,
-            other => panic!("microbench mix must be statically plannable, got {other:?}"),
-        })
-        .collect();
-    let bind_ns = bench_ns("speed/bind_every_trap_x3", || {
-        let mut lanes = 0u32;
-        for i in &mix {
-            lanes += bind(&mb, i, 0x2000)
-                .map(|b| b.lanes.iter().flatten().count() as u32)
-                .unwrap_or(0);
-        }
-        black_box(lanes)
-    });
-    let resolve_ns = bench_ns("speed/plan_resolve_x3", || {
-        let mut lanes = 0u32;
-        for p in &plans {
-            lanes += p.resolve(&mb).lanes.iter().flatten().count() as u32;
-        }
-        black_box(lanes)
-    });
-    println!(
-        "hit path: plan.resolve is {:.2}x the bind cost (< 1.0 means the cache pays per trap)",
-        resolve_ns / bind_ns
-    );
-    println!();
-
-    // -- Per-workload timing + determinism ---------------------------------
-    println!(
-        "{:<18} {:>10} {:>11} {:>11} {:>11} {:>9} {:>8} {:>13}",
-        "benchmark", "traps", "wall_on_ms", "ns/trap", "ns/g-inst", "speedup", "determ.", "icount"
-    );
-    let ecache_off = |cfg: FpvmConfig| FpvmConfig {
-        emulate_cache: false,
-        ..cfg
-    };
-    let mut rows: Vec<SpeedRow> = Vec::new();
-    for w in all_workloads(size) {
-        let c = compile(&w.module, CompileMode::Native);
-        let patched = analyze_and_patch(&c.program);
-        let run_one = |cfg: FpvmConfig, vm: &mut Fpvm<Vanilla>| {
-            let mut m = Machine::new(CostModel::r815());
-            m.load_program(&patched.program);
-            vm.recycle(cfg);
-            vm.set_side_table(patched.side_table.clone());
-            let r = vm.run(&mut m);
-            assert_eq!(r.exit, fpvm_core::ExitReason::Halted, "{}", w.name);
-            (r, m.output)
-        };
-        let fresh_run = |cfg: FpvmConfig| {
-            let mut vm = Fpvm::new(Vanilla, cfg);
-            run_one(cfg, &mut vm)
-        };
-
-        // Determinism gate: the three emulate-cache modes and an engine
-        // reused across runs must agree on the deterministic view and the
-        // guest output.
-        let (r_on, out_on) = fresh_run(FpvmConfig::default());
-        let (r_off, out_off) = fresh_run(ecache_off(FpvmConfig::default()));
-        let (r_pass, out_pass) = {
-            let mut vm = Fpvm::new(Vanilla, FpvmConfig::default());
-            vm.set_emulate_cache(Box::new(PassthroughEmulateCache));
-            let mut m = Machine::new(CostModel::r815());
-            m.load_program(&patched.program);
-            vm.set_side_table(patched.side_table.clone());
-            let r = vm.run(&mut m);
-            (r, m.output)
-        };
-        let (r_reuse, out_reuse) = {
-            let mut vm = Fpvm::new(Vanilla, FpvmConfig::default());
-            let _ = run_one(FpvmConfig::default(), &mut vm);
-            run_one(FpvmConfig::default(), &mut vm)
-        };
-        let base_view = r_on.stats.deterministic_view();
-        let deterministic = [&r_off, &r_pass, &r_reuse]
-            .iter()
-            .all(|r| r.stats.deterministic_view() == base_view)
-            && out_off == out_on
-            && out_pass == out_on
-            && out_reuse == out_on;
-
-        // Timing: alternating (off, on) pairs; the lower-quartile pair by
-        // on/off ratio reads the quietest credible pairing (E16 protocol).
-        let _ = fresh_run(FpvmConfig::default()); // warm-up
-        let mut pairs: Vec<(u64, u64)> = Vec::new(); // (off_ns, on_ns)
-        for rep in 0..reps {
-            let (off, on) = if rep % 2 == 0 {
-                let off = fresh_run(ecache_off(FpvmConfig::default())).0;
-                let on = fresh_run(FpvmConfig::default()).0;
-                (off, on)
-            } else {
-                let on = fresh_run(FpvmConfig::default()).0;
-                let off = fresh_run(ecache_off(FpvmConfig::default())).0;
-                (off, on)
-            };
-            pairs.push((off.wall_ns, on.wall_ns));
-        }
-        pairs.sort_by(|a, b| {
-            let ra = a.1 as f64 / a.0.max(1) as f64;
-            let rb = b.1 as f64 / b.0.max(1) as f64;
-            ra.total_cmp(&rb)
-        });
-        let (wall_off_ns, wall_on_ns) = pairs[pairs.len() / 4];
-        let traps = r_on.stats.fp_traps;
-        let row = SpeedRow {
-            workload: w.name.to_string(),
-            fp_traps: traps,
-            icount: r_on.icount,
-            wall_on_ns,
-            wall_off_ns,
-            ns_per_trap: wall_on_ns as f64 / traps.max(1) as f64,
-            ns_per_guest_inst: wall_on_ns as f64 / r_on.icount.max(1) as f64,
-            speedup: wall_off_ns as f64 / wall_on_ns.max(1) as f64,
-            deterministic,
-        };
-        println!(
-            "{:<18} {:>10} {:>11.2} {:>11.0} {:>11.1} {:>8.2}x {:>8} {:>13}",
-            row.workload,
-            commas(row.fp_traps),
-            row.wall_on_ns as f64 / 1e6,
-            row.ns_per_trap,
-            row.ns_per_guest_inst,
-            row.speedup,
-            if row.deterministic { "yes" } else { "NO" },
-            commas(row.icount)
-        );
-        rows.push(row);
-    }
-    let deterministic = rows.iter().all(|r| r.deterministic);
-    let speedup_geomean = (rows
-        .iter()
-        .map(|r| r.speedup.max(f64::MIN_POSITIVE).ln())
-        .sum::<f64>()
-        / rows.len().max(1) as f64)
-        .exp();
-
-    // -- Fig. 9 pin on the paper configuration -----------------------------
-    // The deterministic cycle accounting must be bit-identical whether the
-    // emulate cache is on, off, or a policy that never caches.
-    let mut fig9_pinned = true;
-    for w in [
-        fpvm_workloads::fbench::workload(Size::Tiny),
-        lorenz::workload(Size::Tiny),
-    ] {
-        let run_mode = |cfg: FpvmConfig, pass: bool| {
-            let (report, _, _) = run_hybrid_with(
-                &w,
-                BigFloatCtx::new(PAPER_PREC),
-                CostModel::r815(),
-                cfg,
-                |vm| {
-                    if pass {
-                        vm.set_emulate_cache(Box::new(PassthroughEmulateCache));
-                    }
-                },
-            );
-            report.stats.deterministic_view()
-        };
-        let on = run_mode(FpvmConfig::default(), false);
-        let off = run_mode(ecache_off(FpvmConfig::default()), false);
-        let pass = run_mode(FpvmConfig::default(), true);
-        fig9_pinned &= on == off && on == pass;
-    }
-    println!();
-    println!(
-        "geomean speedup {speedup_geomean:.2}x; deterministic: {}; Fig. 9 pinned \
-         across ecache modes: {}",
-        if deterministic { "yes" } else { "NO" },
-        if fig9_pinned { "yes" } else { "NO" }
-    );
-    if !deterministic {
-        println!("DETERMINISM VIOLATION: an emulate-cache mode changed a deterministic stat");
-    }
-    if !fig9_pinned {
-        println!("FIG. 9 PIN VIOLATION: cycle accounting moved with the emulate cache");
-    }
-    println!();
-    SpeedResult {
-        workloads: rows.len() as u64,
-        reps: reps as u64,
-        bind_ns,
-        resolve_ns,
-        resolve_vs_bind: resolve_ns / bind_ns,
-        speedup_geomean,
-        deterministic,
-        fig9_pinned,
-        rows,
-    }
-}
-
-// ---------------------------------------------------------------------------
 // E18: superblock dispatch — ns/guest-instruction, blocks on vs off
 // ---------------------------------------------------------------------------
 
@@ -2369,8 +2096,8 @@ pub struct SblockRow {
 }
 
 /// The archived E18 record (one `BENCH_speed.json` entry; the `experiment`
-/// field discriminates sblock rows from E17 speed rows in the shared
-/// trajectory file).
+/// field discriminates sblock rows from the retired E17 speed rows in the
+/// shared trajectory file).
 #[derive(Debug, Clone)]
 pub struct SblockResult {
     pub experiment: String,
@@ -2395,7 +2122,7 @@ pub struct SblockResult {
 /// E18: superblock dispatch. Measures host-ns/guest-instruction across all
 /// ten workloads (Vanilla arithmetic, R815) with the machine's superblock
 /// engine on vs off in alternating pairs (lower-quartile pair by ratio,
-/// the E16/E17 protocol); gates per-workload determinism across superblock
+/// the E16 protocol); gates per-workload determinism across superblock
 /// on/off/capped/passthrough modes and engine reuse; pins the Fig. 9 cycle
 /// accounting across the same modes on the paper configuration, under
 /// trap-and-patch, and across 1/2/4 fleet workers.
@@ -2477,7 +2204,7 @@ pub fn sblock(smoke: bool) -> SblockResult {
             && out_reuse == out_on;
 
         // Timing: alternating (off, on) pairs; lower-quartile pair by
-        // on/off ratio (E16/E17 protocol). Each pair records
+        // on/off ratio (E16 protocol). Each pair records
         // (off_ns, on_ns, the on-run's superblock counters).
         let _ = fresh_run(FpvmConfig::default()); // warm-up
         let mut pairs: Vec<(u64, u64, fpvm_machine::BlockCacheStats)> = Vec::new();
@@ -2642,30 +2369,6 @@ pub fn sblock(smoke: bool) -> SblockResult {
 // ---------------------------------------------------------------------------
 // JSON archival encodings
 // ---------------------------------------------------------------------------
-
-json_struct!(SpeedRow {
-    workload,
-    fp_traps,
-    icount,
-    wall_on_ns,
-    wall_off_ns,
-    ns_per_trap,
-    ns_per_guest_inst,
-    speedup,
-    deterministic,
-});
-
-json_struct!(SpeedResult {
-    workloads,
-    reps,
-    bind_ns,
-    resolve_ns,
-    resolve_vs_bind,
-    speedup_geomean,
-    deterministic,
-    fig9_pinned,
-    rows,
-});
 
 json_struct!(SblockRow {
     workload,

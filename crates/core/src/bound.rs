@@ -229,8 +229,8 @@ fn packed2(op: ScalarOp, dst: Xmm, src: &XM, lane: u8) -> PlanLane {
 
 /// Derive the machine-independent binding plan of an instruction. The
 /// single source of truth for operand shapes: [`bind`] is implemented as
-/// `plan(..).resolve(m)`, and the emulate cache memoizes the `Static`
-/// plans per RIP so hot traps skip this match entirely.
+/// `plan(..).resolve(m)`, and the engine's site table memoizes the
+/// `Static` plans per RIP so hot traps skip this match entirely.
 pub fn plan(inst: &Inst, next_rip: u64) -> Planability {
     use Inst::*;
     use ScalarOp::*;
@@ -326,6 +326,15 @@ pub fn plan(inst: &Inst, next_rip: u64) -> Planability {
         // machine state beyond operand addressing: never memoizable.
         XorPd { .. } | AndPd { .. } => Planability::Dynamic,
         _ => Planability::Unbindable,
+    }
+}
+
+/// The plan worth memoizing: `Some` only for [`Planability::Static`]
+/// bindings, so a memoized plan never replays a data-dependent decision.
+pub(crate) fn static_plan(inst: &Inst, next_rip: u64) -> Option<BoundPlan> {
+    match plan(inst, next_rip) {
+        Planability::Static(p) => Some(p),
+        _ => None,
     }
 }
 

@@ -230,6 +230,29 @@ impl Accounting {
         m.charge(cycles);
     }
 
+    /// Charge one decode-stage lookup at `rip`: tally the hit or miss,
+    /// charge its model price, and trace it.
+    #[inline]
+    pub(crate) fn charge_decode(&mut self, m: &mut Machine, rip: u64, hit: bool) {
+        self.tally(if hit {
+            Counter::DecodeHits
+        } else {
+            Counter::DecodeMisses
+        });
+        let cycles = m.cost.decode_cost(hit);
+        self.charge(m, Component::Decode, cycles);
+        self.emit(|| TraceEvent::Decode { rip, hit, cycles });
+    }
+
+    /// Charge the bind stage at `rip`: one model price whether the
+    /// operands come from a memoized plan or a fresh bind.
+    #[inline]
+    pub(crate) fn charge_bind(&mut self, m: &mut Machine, rip: u64) {
+        let cycles = m.cost.bind;
+        self.charge(m, Component::Bind, cycles);
+        self.emit(|| TraceEvent::Bind { rip, cycles });
+    }
+
     /// Charge a *measured* stage: convert host nanoseconds at the profile
     /// clock, add `extra_cycles` of fixed dispatch cost, and attribute the
     /// sum. Measured nanoseconds are also recorded for the components that

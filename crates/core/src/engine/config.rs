@@ -7,16 +7,10 @@ use fpvm_machine::{DeliveryMode, DEFAULT_BLOCK_CAP};
 pub struct FpvmConfig {
     /// How traps reach the runtime (cost model only; §6).
     pub delivery: DeliveryMode,
-    /// Enable the decode cache (§5.3 footnote 8 ablation).
+    /// Enable the decode cache (§5.3 footnote 8 ablation): the per-site
+    /// table of decoded instructions and bound plans. Off, every trap pays
+    /// a full decode and a fresh bind.
     pub decode_cache: bool,
-    /// Enable the emulate cache: memoize the decoded *and bound* operand
-    /// plan per RIP so hot traps skip the bind stage's instruction-shape
-    /// match. Only effective when `decode_cache` is also on (the fast path
-    /// reuses the decode cache's hit/miss accounting, and disabling the
-    /// decode cache is the every-trap-pays-full-decode ablation). Cycle
-    /// accounting is bit-identical on/off — the cache changes host work
-    /// only.
-    pub emulate_cache: bool,
     /// Interpose libm calls onto the arithmetic system (the math wrapper).
     pub interpose_math: bool,
     /// Interpose output calls (the output wrapper).
@@ -78,7 +72,6 @@ impl Default for FpvmConfig {
         FpvmConfig {
             delivery: DeliveryMode::UserSignal,
             decode_cache: true,
-            emulate_cache: true,
             interpose_math: true,
             interpose_output: true,
             gc_epoch: 400_000,

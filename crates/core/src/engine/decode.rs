@@ -1,260 +1,136 @@
-//! The decode stage's cache (§5.3 footnote 8: "the decode cache hit rate
-//! is nearly 100%").
+//! The decode stage's per-site table (§5.3 footnote 8: "the decode cache
+//! hit rate is nearly 100%").
 //!
-//! Decoded instructions are cached behind the [`DecodeCache`] trait so the
-//! policy is swappable:
+//! One direct-mapped slot per guest code byte holds everything a trap at
+//! that site needs on a hit: the decoded instruction, its encoded length,
+//! and — for statically plannable shapes — its bound-operand plan, so a
+//! hot trap skips both the decode and the bind stage's instruction-shape
+//! match. Instruction addresses are unique byte offsets, so the mapping is
+//! collision-free and a lookup is a bounds check plus a load.
 //!
-//! * [`DirectMappedCache`] — the default. An inline array indexed by code
-//!   offset, sized to the guest's code segment at run start, so every
-//!   instruction address owns its slot and the hit path is a bounds check
-//!   plus a load (no hashing).
-//! * [`HashMapCache`] — the pre-refactor `HashMap` policy, kept as the
-//!   microbenchmark baseline.
-//! * [`PassthroughCache`] — never caches; backs the `decode_cache: false`
-//!   ablation (every trap pays a full decode).
+//! The table is also the decode cache's cost-model rule. [`Fpvm::run`]
+//! resets it at the start of every run and trap-and-patch clears each site
+//! it rewrites, so a trap is a decode miss exactly when it is the first at
+//! its site since the run began or since the site was patched. A miss
+//! decodes through [`fpvm_machine::Machine::fetch`]: the machine's
+//! predecode is the only decoder. With `decode_cache: false` (the §5.3
+//! ablation) the table is sized to nothing and never filled.
 //!
-//! Because the direct-mapped table has one slot per code byte, its
-//! hit/miss counts are identical to the hash map's — the refactor changes
-//! the lookup cost, never the accounting.
+//! [`Fpvm::run`]: super::Fpvm::run
 
+use crate::bound::BoundPlan;
 use fpvm_machine::{Inst, CODE_BASE};
-use std::collections::HashMap;
 
-/// A cached decode result: the instruction and its encoded length.
-pub type DecodeEntry = (Inst, u8);
-
-/// Policy interface for the decode stage's cache.
-///
-/// `Send` because the cache is owned by the engine and the engine must be
-/// movable onto a fleet worker thread; a policy that needs shared state
-/// should own it (or use `Arc`/atomics), not alias it through `Rc`.
-pub trait DecodeCache: Send {
-    /// Called once per [`crate::engine::Fpvm::run`] with the guest's code
-    /// segment length and its content fingerprint, before any lookup.
-    /// Implementations must drop every entry when the fingerprint differs
-    /// from the one they were filled under — two *different* programs of
-    /// identical length must never share entries (the stale-reload bug:
-    /// keying on length alone served program A's decodes to program B).
-    /// The default does nothing (stateless policies).
-    fn prepare(&mut self, _code_len: usize, _fingerprint: u64) {}
-
-    /// The cached entry at `rip`, if any.
-    fn lookup(&self, rip: u64) -> Option<DecodeEntry>;
-
-    /// Cache the decode result at `rip`.
-    fn insert(&mut self, rip: u64, entry: DecodeEntry);
-
-    /// Drop the entry at `rip` (trap-and-patch rewrote the site).
-    fn invalidate(&mut self, rip: u64);
-
-    /// Policy name, for benchmark labels.
-    fn name(&self) -> &'static str;
+/// What a trap at one site needs on a hit.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct SiteEntry {
+    /// The decoded faulting instruction.
+    pub inst: Inst,
+    /// Its encoded length in bytes.
+    pub len: u8,
+    /// Its memoized operand plan; `None` when the binding depends on data
+    /// (the XorPd/AndPd masks) or the shape is unbindable.
+    pub plan: Option<BoundPlan>,
 }
 
-/// Direct-mapped inline cache: one slot per guest code byte. Instruction
-/// addresses are unique byte offsets, so the mapping is collision-free and
-/// a lookup is a single indexed load.
+/// The direct-mapped site table: one slot per guest code byte.
 #[derive(Debug, Default)]
-pub struct DirectMappedCache {
-    slots: Vec<Option<DecodeEntry>>,
-    /// Fingerprint of the program the slots were filled under.
-    fingerprint: u64,
+pub(crate) struct SiteTable {
+    slots: Vec<Option<SiteEntry>>,
 }
 
-impl DirectMappedCache {
-    /// An empty cache; it sizes itself in [`DecodeCache::prepare`].
-    pub fn new() -> Self {
-        DirectMappedCache::default()
+impl SiteTable {
+    /// Drop every entry and size the table to `code_len` slots, keeping
+    /// the allocation.
+    pub fn reset(&mut self, code_len: usize) {
+        self.slots.clear();
+        self.slots.resize(code_len, None);
     }
 
-    fn slot_index(&self, rip: u64) -> Option<usize> {
-        let off = rip.checked_sub(CODE_BASE)? as usize;
-        (off < self.slots.len()).then_some(off)
+    /// The entry at `rip`. A lookup before any reset, or at an
+    /// out-of-segment `rip`, is a miss, never an index panic.
+    #[inline]
+    pub fn get(&self, rip: u64) -> Option<&SiteEntry> {
+        let off = usize::try_from(rip.checked_sub(CODE_BASE)?).ok()?;
+        self.slots.get(off)?.as_ref()
     }
-}
 
-impl DecodeCache for DirectMappedCache {
-    fn prepare(&mut self, code_len: usize, fingerprint: u64) {
-        // Keep existing entries only when re-running the *same* program
-        // (same length and same content fingerprint — length alone is not
-        // identity); `clear` + `resize` keeps the slot allocation.
-        if self.slots.len() != code_len || self.fingerprint != fingerprint {
-            self.slots.clear();
-            self.slots.resize(code_len, None);
-            self.fingerprint = fingerprint;
+    /// Fill the slot at `rip`; out-of-segment `rip`s are dropped.
+    pub fn insert(&mut self, rip: u64, entry: SiteEntry) {
+        if let Some(slot) = self.slot_mut(rip) {
+            *slot = Some(entry);
         }
     }
 
-    fn lookup(&self, rip: u64) -> Option<DecodeEntry> {
-        // Structurally non-panicking: a lookup before any `prepare` (or at
-        // any out-of-segment rip) is a miss, never an index panic.
-        let off = rip.checked_sub(CODE_BASE)? as usize;
-        self.slots.get(off).copied().flatten()
-    }
-
-    fn insert(&mut self, rip: u64, entry: DecodeEntry) {
-        if let Some(i) = self.slot_index(rip) {
-            self.slots[i] = Some(entry);
+    /// Clear the slot at `rip` (trap-and-patch rewrote the site).
+    pub fn invalidate(&mut self, rip: u64) {
+        if let Some(slot) = self.slot_mut(rip) {
+            *slot = None;
         }
     }
 
-    fn invalidate(&mut self, rip: u64) {
-        if let Some(i) = self.slot_index(rip) {
-            self.slots[i] = None;
-        }
-    }
-
-    fn name(&self) -> &'static str {
-        "direct-mapped"
-    }
-}
-
-/// The pre-refactor policy: a `HashMap` keyed by rip. Retained as the
-/// baseline the direct-mapped cache is benchmarked against.
-#[derive(Debug, Default)]
-pub struct HashMapCache {
-    map: HashMap<u64, DecodeEntry>,
-    /// Fingerprint of the program the map was filled under.
-    fingerprint: u64,
-}
-
-impl HashMapCache {
-    /// An empty hash-map cache.
-    pub fn new() -> Self {
-        HashMapCache::default()
-    }
-}
-
-impl DecodeCache for HashMapCache {
-    fn prepare(&mut self, _code_len: usize, fingerprint: u64) {
-        // Same identity rule as the direct-mapped policy: entries only
-        // survive across runs of the identical program.
-        if self.fingerprint != fingerprint {
-            self.map.clear();
-            self.fingerprint = fingerprint;
-        }
-    }
-
-    fn lookup(&self, rip: u64) -> Option<DecodeEntry> {
-        self.map.get(&rip).copied()
-    }
-
-    fn insert(&mut self, rip: u64, entry: DecodeEntry) {
-        self.map.insert(rip, entry);
-    }
-
-    fn invalidate(&mut self, rip: u64) {
-        self.map.remove(&rip);
-    }
-
-    fn name(&self) -> &'static str {
-        "hashmap"
-    }
-}
-
-/// The `decode_cache: false` ablation: nothing is ever cached, so every
-/// trap pays the full decode cost.
-#[derive(Debug, Default)]
-pub struct PassthroughCache;
-
-impl DecodeCache for PassthroughCache {
-    fn lookup(&self, _rip: u64) -> Option<DecodeEntry> {
-        None
-    }
-
-    fn insert(&mut self, _rip: u64, _entry: DecodeEntry) {}
-
-    fn invalidate(&mut self, _rip: u64) {}
-
-    fn name(&self) -> &'static str {
-        "passthrough"
+    fn slot_mut(&mut self, rip: u64) -> Option<&mut Option<SiteEntry>> {
+        let off = usize::try_from(rip.checked_sub(CODE_BASE)?).ok()?;
+        self.slots.get_mut(off)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::bound::static_plan;
+    use fpvm_machine::{Xmm, XM};
 
-    fn entry() -> DecodeEntry {
-        (Inst::Nop, 1)
+    fn entry() -> SiteEntry {
+        let inst = Inst::AddSd {
+            dst: Xmm(0),
+            src: XM::Reg(Xmm(1)),
+        };
+        SiteEntry {
+            inst,
+            len: 4,
+            plan: static_plan(&inst, CODE_BASE + 7),
+        }
     }
 
     #[test]
-    fn direct_mapped_roundtrip_and_invalidate() {
-        let mut c = DirectMappedCache::new();
-        c.prepare(64, 0xAA);
-        assert_eq!(c.lookup(CODE_BASE + 3), None);
-        c.insert(CODE_BASE + 3, entry());
-        assert_eq!(c.lookup(CODE_BASE + 3), Some(entry()));
-        c.invalidate(CODE_BASE + 3);
-        assert_eq!(c.lookup(CODE_BASE + 3), None);
+    fn roundtrip_and_invalidate() {
+        let mut t = SiteTable::default();
+        t.reset(64);
+        assert!(t.get(CODE_BASE + 3).is_none());
+        t.insert(CODE_BASE + 3, entry());
+        let hit = t.get(CODE_BASE + 3).expect("filled slot hits");
+        assert_eq!(hit.inst, entry().inst);
+        assert_eq!(hit.len, 4);
+        assert_eq!(hit.plan.unwrap().next_rip, CODE_BASE + 7);
+        t.invalidate(CODE_BASE + 3);
+        assert!(t.get(CODE_BASE + 3).is_none());
     }
 
     #[test]
-    fn direct_mapped_ignores_out_of_segment_rips() {
-        let mut c = DirectMappedCache::new();
-        c.prepare(16, 0xAA);
-        c.insert(CODE_BASE + 100, entry()); // beyond the segment: dropped
-        assert_eq!(c.lookup(CODE_BASE + 100), None);
-        assert_eq!(c.lookup(CODE_BASE.wrapping_sub(1)), None);
+    fn reset_drops_every_entry() {
+        let mut t = SiteTable::default();
+        t.reset(32);
+        t.insert(CODE_BASE + 1, entry());
+        t.reset(32);
+        assert!(t.get(CODE_BASE + 1).is_none());
     }
 
     #[test]
-    fn direct_mapped_is_inert_before_prepare() {
-        // A lookup or invalidate on a never-prepared cache must be a miss
-        // or no-op, never an index panic (the engine consults the cache
-        // only after `prepare`, but the policy must not rely on that).
-        let c = DirectMappedCache::new();
-        assert_eq!(c.lookup(CODE_BASE), None);
-        assert_eq!(c.lookup(CODE_BASE + 1000), None);
-        assert_eq!(c.lookup(0), None);
-        assert_eq!(c.lookup(u64::MAX), None);
-        let mut c = DirectMappedCache::new();
-        c.invalidate(CODE_BASE + 5); // unprepared: no-op
-        c.insert(CODE_BASE + 5, entry()); // unprepared: dropped
-        assert_eq!(c.lookup(CODE_BASE + 5), None);
-    }
-
-    #[test]
-    fn direct_mapped_persists_across_same_program_prepare() {
-        let mut c = DirectMappedCache::new();
-        c.prepare(32, 0xAA);
-        c.insert(CODE_BASE + 1, entry());
-        c.prepare(32, 0xAA); // same program re-run: keep entries
-        assert_eq!(c.lookup(CODE_BASE + 1), Some(entry()));
-        c.prepare(48, 0xAA); // different length: flushed
-        assert_eq!(c.lookup(CODE_BASE + 1), None);
-    }
-
-    #[test]
-    fn same_length_different_program_flushes() {
-        // The stale-reload bug: two different programs of identical length
-        // must not share entries. The fingerprint is the identity.
-        let mut c = DirectMappedCache::new();
-        c.prepare(32, 0xAA);
-        c.insert(CODE_BASE + 1, entry());
-        c.prepare(32, 0xBB); // same length, different program: flushed
-        assert_eq!(c.lookup(CODE_BASE + 1), None);
-
-        let mut h = HashMapCache::new();
-        h.prepare(32, 0xAA);
-        h.insert(CODE_BASE + 1, entry());
-        h.prepare(32, 0xAA);
-        assert_eq!(h.lookup(CODE_BASE + 1), Some(entry()), "same program");
-        h.prepare(32, 0xBB);
-        assert_eq!(h.lookup(CODE_BASE + 1), None, "different program");
-    }
-
-    #[test]
-    fn hashmap_and_passthrough_policies() {
-        let mut h = HashMapCache::new();
-        h.insert(CODE_BASE, entry());
-        assert_eq!(h.lookup(CODE_BASE), Some(entry()));
-        h.invalidate(CODE_BASE);
-        assert_eq!(h.lookup(CODE_BASE), None);
-
-        let mut p = PassthroughCache;
-        p.insert(CODE_BASE, entry());
-        assert_eq!(p.lookup(CODE_BASE), None);
+    fn out_of_segment_and_pre_reset_lookups_miss() {
+        // Before any reset: every lookup misses and every write is a
+        // no-op, never an index panic.
+        let mut t = SiteTable::default();
+        for rip in [0, CODE_BASE - 1, CODE_BASE, CODE_BASE + 1000, u64::MAX] {
+            assert!(t.get(rip).is_none());
+        }
+        t.invalidate(CODE_BASE + 5);
+        t.insert(CODE_BASE + 5, entry());
+        assert!(t.get(CODE_BASE + 5).is_none());
+        // After a reset: rips beyond the segment are dropped.
+        t.reset(16);
+        t.insert(CODE_BASE + 100, entry());
+        assert!(t.get(CODE_BASE + 100).is_none());
+        assert!(t.get(CODE_BASE.wrapping_sub(1)).is_none());
     }
 }

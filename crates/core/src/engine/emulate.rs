@@ -312,27 +312,10 @@ impl Committer {
 }
 
 impl<A: ArithSystem> Fpvm<A> {
-    /// The emulate stage: bind the instruction, evaluate and commit each
-    /// lane in order, advance `rip`, and charge the measured time.
-    pub(crate) fn emulate(
-        &mut self,
-        m: &mut Machine,
-        inst: &Inst,
-        next_rip: u64,
-    ) -> Result<(), ExitReason> {
-        let t_bind = self.acct.stage_timer();
-        let Some(b) = Binder.bind(m, inst, next_rip) else {
-            return Err(ExitReason::error(Stage::Bind, m.rip));
-        };
-        self.acct
-            .stage_record(crate::metrics::MetricStage::Bind, t_bind);
-        self.emulate_bound(m, &b)
-    }
-
-    /// The back half of the emulate stage, entered with operands already
-    /// bound — either freshly (via [`Fpvm::emulate`]) or from a cached
-    /// plan resolved by the emulate-cache fast path. Both entries charge
-    /// and trace identically from here on.
+    /// The emulate stage, entered with operands already bound — freshly or
+    /// from a memoized plan (the trap path and patch calls do both):
+    /// evaluate and commit each lane in order, advance `rip`, and charge
+    /// the measured time.
     pub(crate) fn emulate_bound(&mut self, m: &mut Machine, b: &Bound) -> Result<(), ExitReason> {
         let trap_rip = m.rip;
         let t = Instant::now();

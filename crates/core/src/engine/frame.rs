@@ -2,13 +2,16 @@
 //! delivery accounting → decode (cached) → bind → emulate → patch.
 
 use super::accounting::Counter;
+use super::decode::SiteEntry;
 use super::exit::{ExitReason, Stage};
-use super::Fpvm;
+use super::{Binder, Fpvm};
+use crate::bound::static_plan;
 use crate::metrics::MetricStage;
 use crate::stats::Component;
 use crate::trace::TraceEvent;
 use fpvm_arith::{ArithSystem, FpFlags};
-use fpvm_machine::{decode, Inst, Machine, CODE_BASE};
+use fpvm_machine::{Inst, Machine};
+use std::time::Instant;
 
 /// One hardware FP trap's lifecycle: the faulting site, the sticky
 /// condition flags at delivery, and — once the decode stage has run — the
@@ -60,49 +63,53 @@ impl<A: ArithSystem> Fpvm<A> {
         });
         // Inspect and clear the sticky condition codes (§4.1 "Trapping").
         m.mxcsr.clear_flags();
-        // Emulate-cache fast path: the decoded instruction *and* its bound
-        // plan are memoized, so this trap skips the full decode and the
-        // bind stage's instruction-shape match. Accounting is replayed
-        // exactly as the slow path would have charged it (a decode-cache
-        // hit plus a fresh bind), so deterministic cycles and counters are
-        // bit-identical with the cache off. Gated on `decode_cache` too:
-        // the decode_cache=false ablation must pay a full decode per trap.
-        if self.config.emulate_cache && self.config.decode_cache {
-            if let Some(entry) = self.ecache.lookup(rip) {
-                let t_decode = self.acct.stage_timer();
-                self.acct.tally(Counter::DecodeHits);
-                let cyc = m.cost.decode_cost(true);
-                self.acct.charge(m, Component::Decode, cyc);
-                self.acct.emit(|| TraceEvent::Decode {
-                    rip,
-                    hit: true,
-                    cycles: cyc,
-                });
-                self.acct.stage_record(MetricStage::Decode, t_decode);
-                let bind_cost = m.cost.bind;
-                self.acct.charge(m, Component::Bind, bind_cost);
-                self.acct.emit(|| TraceEvent::Bind {
-                    rip,
-                    cycles: bind_cost,
-                });
-                let t_bind = self.acct.stage_timer();
-                let b = entry.plan.resolve(m);
-                self.acct.stage_record(MetricStage::Bind, t_bind);
-                self.emulate_bound(m, &b)?;
-                if self.config.trap_and_patch {
-                    let frame = TrapFrame {
-                        rip,
-                        flags,
-                        inst: entry.inst,
-                        len: entry.len,
-                    };
-                    self.install_patch(m, &frame);
-                }
-                self.acct.stage_record(MetricStage::Frame, t_frame);
-                return Ok(());
-            }
+        // Hot path: a site-table hit with a memoized plan skips the full
+        // decode and the bind stage's instruction-shape match; only memory
+        // operand addresses are re-derived. Misses and plan-less sites take
+        // the cold path, kept out of line because inlining its decode and
+        // fresh bind here made every trap measurably slower. Both paths
+        // charge and trace identically.
+        let Some(&SiteEntry {
+            inst,
+            len,
+            plan: Some(plan),
+        }) = self.sites.get(rip)
+        else {
+            return self.on_fp_trap_cold(m, rip, flags, t_frame);
+        };
+        let t_decode = self.acct.stage_timer();
+        self.acct.charge_decode(m, rip, true);
+        self.acct.stage_record(MetricStage::Decode, t_decode);
+        self.acct.charge_bind(m, rip);
+        let t_bind = self.acct.stage_timer();
+        let b = plan.resolve(m);
+        self.acct.stage_record(MetricStage::Bind, t_bind);
+        self.emulate_bound(m, &b)?;
+        if self.config.trap_and_patch {
+            let frame = TrapFrame {
+                rip,
+                flags,
+                inst,
+                len,
+            };
+            self.install_patch(m, &frame);
         }
-        // Decode (through the cache) fills in the rest of the frame.
+        self.acct.stage_record(MetricStage::Frame, t_frame);
+        Ok(())
+    }
+
+    /// The trap path's cold half: decode (a miss fills the site's slot)
+    /// and bind — from the plan the miss just memoized, or from scratch
+    /// for a site without one (decode-cache ablation, data-dependent
+    /// shape).
+    #[inline(never)]
+    fn on_fp_trap_cold(
+        &mut self,
+        m: &mut Machine,
+        rip: u64,
+        flags: FpFlags,
+        t_frame: Option<Instant>,
+    ) -> Result<(), ExitReason> {
         let (inst, len) = self.decode_at(m, rip)?;
         let frame = TrapFrame {
             rip,
@@ -110,34 +117,17 @@ impl<A: ArithSystem> Fpvm<A> {
             inst,
             len,
         };
-        // Bind + emulate.
-        let bind_cost = m.cost.bind;
-        self.acct.charge(m, Component::Bind, bind_cost);
-        self.acct.emit(|| TraceEvent::Bind {
-            rip,
-            cycles: bind_cost,
-        });
-        self.emulate(m, &frame.inst, frame.next_rip())?;
-        // Memoize the bound plan for the next trap at this site (only
-        // statically plannable shapes enter the cache). Insert *before*
-        // install_patch so a patched site's entry is invalidated, not
-        // resurrected.
-        if self.config.emulate_cache && self.config.decode_cache {
-            if let crate::bound::Planability::Static(plan) =
-                crate::bound::plan(&frame.inst, frame.next_rip())
-            {
-                self.ecache.insert(
-                    rip,
-                    super::ecache::EmulateEntry {
-                        inst: frame.inst,
-                        len: frame.len,
-                        plan,
-                    },
-                );
-            }
-        }
-        // Trap-and-patch: install a patch at this site so the next
-        // encounter dispatches via a cheap call instead of a trap.
+        self.acct.charge_bind(m, rip);
+        let t_bind = self.acct.stage_timer();
+        let bound = match self.sites.get(rip).and_then(|e| e.plan.as_ref()) {
+            Some(plan) => Some(plan.resolve(m)),
+            None => Binder.bind(m, &inst, frame.next_rip()),
+        };
+        let Some(b) = bound else {
+            return Err(ExitReason::error(Stage::Bind, rip));
+        };
+        self.acct.stage_record(MetricStage::Bind, t_bind);
+        self.emulate_bound(m, &b)?;
         if self.config.trap_and_patch {
             self.install_patch(m, &frame);
         }
@@ -145,44 +135,27 @@ impl<A: ArithSystem> Fpvm<A> {
         Ok(())
     }
 
-    /// The decode stage: consult the [`super::DecodeCache`], fall back to a
-    /// full decode on miss, and charge the stage through the accounting
-    /// sink.
+    /// The decode stage: consult the site table, fall back to a full
+    /// decode through the machine on a miss (filling the slot, plan and
+    /// all), and charge the stage through the accounting sink.
     pub(crate) fn decode_at(
         &mut self,
         m: &mut Machine,
         rip: u64,
     ) -> Result<(Inst, u8), ExitReason> {
         let t_decode = self.acct.stage_timer();
-        if let Some(hit) = self.cache.lookup(rip) {
-            self.acct.tally(Counter::DecodeHits);
-            let cyc = m.cost.decode_cost(true);
-            self.acct.charge(m, Component::Decode, cyc);
-            self.acct.emit(|| TraceEvent::Decode {
-                rip,
-                hit: true,
-                cycles: cyc,
-            });
+        if let Some(hit) = self.sites.get(rip) {
+            self.acct.charge_decode(m, rip, true);
             self.acct.stage_record(MetricStage::Decode, t_decode);
-            return Ok(hit);
+            return Ok((hit.inst, hit.len));
         }
-        self.acct.tally(Counter::DecodeMisses);
-        let cyc = m.cost.decode_cost(false);
-        self.acct.charge(m, Component::Decode, cyc);
-        self.acct.emit(|| TraceEvent::Decode {
-            rip,
-            hit: false,
-            cycles: cyc,
-        });
-        let off = (rip - CODE_BASE) as usize;
-        match decode(m.mem.code_bytes(), off) {
-            Ok((inst, len)) => {
-                let entry = (inst, len as u8);
-                self.cache.insert(rip, entry);
-                self.acct.stage_record(MetricStage::Decode, t_decode);
-                Ok(entry)
-            }
-            Err(_) => Err(ExitReason::error(Stage::Decode, rip)),
-        }
+        self.acct.charge_decode(m, rip, false);
+        let (inst, len) = m
+            .fetch(rip)
+            .map_err(|_| ExitReason::error(Stage::Decode, rip))?;
+        let plan = static_plan(&inst, rip + u64::from(len));
+        self.sites.insert(rip, SiteEntry { inst, len, plan });
+        self.acct.stage_record(MetricStage::Decode, t_decode);
+        Ok((inst, len))
     }
 }

@@ -6,8 +6,8 @@
 //! 1. It unmasks every `%mxcsr` exception, so any rounding, overflow,
 //!    underflow, denormal or NaN event faults into the runtime
 //!    ([`Fpvm::run`] ↔ the SIGFPE handler).
-//! 2. On a trap it decodes the faulting instruction (through a pluggable
-//!    [`DecodeCache`]), **binds** its operands, **emulates** it on the
+//! 2. On a trap it decodes the faulting instruction (through a per-site
+//!    table, [`decode`]), **binds** its operands, **emulates** it on the
 //!    alternative arithmetic system, NaN-boxes the result, clears the
 //!    sticky condition flags, and resumes after the instruction. One
 //!    trap's lifecycle is a [`TrapFrame`]; the stages live in
@@ -28,8 +28,7 @@
 pub mod accounting;
 pub mod config;
 mod correctness;
-pub mod decode;
-pub mod ecache;
+mod decode;
 mod emulate;
 pub mod exit;
 mod external;
@@ -40,8 +39,6 @@ mod patch;
 pub use accounting::{Accounting, Counter};
 pub use config::FpvmConfig;
 pub use correctness::SideTableEntry;
-pub use decode::{DecodeCache, DirectMappedCache, HashMapCache, PassthroughCache};
-pub use ecache::{DirectMappedEmulateCache, EmulateCache, EmulateEntry, PassthroughEmulateCache};
 pub use emulate::{Binder, Committer, LaneOutcome};
 pub use exit::{ExitReason, RuntimeError, Stage};
 pub use frame::TrapFrame;
@@ -114,7 +111,7 @@ fn commas(n: u64) -> String {
 
 /// The FPVM runtime, generic over the alternative arithmetic system.
 ///
-/// The runtime owns everything it touches — arena, decode cache,
+/// The runtime owns everything it touches — arena, site table,
 /// accounting, trace sink — so `Fpvm<A>` is [`Send`] whenever the
 /// arithmetic system and its values are (all in-tree backends qualify;
 /// `crates/core/tests/send.rs` compile-asserts it). A fleet worker can
@@ -129,20 +126,14 @@ pub struct Fpvm<A: ArithSystem> {
     /// Runtime configuration.
     pub config: FpvmConfig,
     pub(crate) acct: Accounting,
-    pub(crate) cache: Box<dyn DecodeCache>,
-    /// The emulate cache: decoded + bound plans per RIP (see [`ecache`]).
-    pub(crate) ecache: Box<dyn EmulateCache>,
+    /// Decoded instructions and bound plans per trap site (see [`decode`]).
+    pub(crate) sites: decode::SiteTable,
     pub(crate) side_table: Vec<SideTableEntry>,
     pub(crate) patches: patch::PatchTable,
     pub(crate) patch_allow: Option<HashSet<u64>>,
     /// Reusable encode buffer for trap-and-patch installs (per-trap
     /// allocation discipline: the engine owns its scratch).
     pub(crate) scratch_code: Vec<u8>,
-    /// Bumped by [`Fpvm::recycle`]; mixed into the cache fingerprint so no
-    /// cache entry survives an engine recycle even across identical
-    /// programs (fleet workers must be indistinguishable from fresh
-    /// engines).
-    cache_epoch: u64,
     handlers: HandlerTable<A>,
     last_gc_icount: u64,
     pub(crate) rendered: Vec<String>,
@@ -151,16 +142,6 @@ pub struct Fpvm<A: ArithSystem> {
 impl<A: ArithSystem> Fpvm<A> {
     /// Create a runtime over the given arithmetic system.
     pub fn new(arith: A, config: FpvmConfig) -> Self {
-        let cache: Box<dyn DecodeCache> = if config.decode_cache {
-            Box::new(DirectMappedCache::new())
-        } else {
-            Box::new(PassthroughCache)
-        };
-        let ecache: Box<dyn EmulateCache> = if config.emulate_cache {
-            Box::new(DirectMappedEmulateCache::new())
-        } else {
-            Box::new(PassthroughEmulateCache)
-        };
         let mut acct = Accounting::new();
         if config.metrics {
             acct.set_metrics(crate::metrics::EngineMetrics::new(
@@ -172,13 +153,11 @@ impl<A: ArithSystem> Fpvm<A> {
             arena: ShadowArena::new(),
             config,
             acct,
-            cache,
-            ecache,
+            sites: decode::SiteTable::default(),
             side_table: Vec::new(),
             patches: patch::PatchTable::default(),
             patch_allow: None,
             scratch_code: Vec::new(),
-            cache_epoch: 0,
             handlers: HandlerTable::default(),
             last_gc_icount: 0,
             rendered: Vec::new(),
@@ -203,27 +182,6 @@ impl<A: ArithSystem> Fpvm<A> {
     /// Install the correctness-trap side table (from the static patcher).
     pub fn set_side_table(&mut self, table: Vec<SideTableEntry>) {
         self.side_table = table;
-    }
-
-    /// Replace the decode-cache policy (benchmarks compare
-    /// [`DirectMappedCache`] against [`HashMapCache`] this way).
-    pub fn set_decode_cache(&mut self, cache: Box<dyn DecodeCache>) {
-        self.cache = cache;
-    }
-
-    /// The decode-cache policy's name.
-    pub fn decode_cache_name(&self) -> &'static str {
-        self.cache.name()
-    }
-
-    /// Replace the emulate-cache policy (benchmarks and the E17 ablation).
-    pub fn set_emulate_cache(&mut self, cache: Box<dyn EmulateCache>) {
-        self.ecache = cache;
-    }
-
-    /// The emulate-cache policy's name.
-    pub fn emulate_cache_name(&self) -> &'static str {
-        self.ecache.name()
     }
 
     /// The event-routing table, for registering custom handlers.
@@ -287,14 +245,6 @@ impl<A: ArithSystem> Fpvm<A> {
         }
     }
 
-    /// Drop the entry at `rip` from both the decode and emulate caches
-    /// (trap-and-patch rewrote the site; a cached decode *or* plan would
-    /// replay the pre-patch instruction).
-    pub(crate) fn invalidate_site(&mut self, rip: u64) {
-        self.cache.invalidate(rip);
-        self.ecache.invalidate(rip);
-    }
-
     /// Reset the engine for reuse with its current configuration: same as
     /// [`Fpvm::recycle`].
     pub fn reset(&mut self) {
@@ -302,28 +252,12 @@ impl<A: ArithSystem> Fpvm<A> {
     }
 
     /// Recycle the engine for the next job (fleet-worker discipline): all
-    /// run state — stats, arena, side table, patch table, caches, rendered
-    /// output — is cleared so a recycled engine behaves bit-identically to
-    /// a fresh [`Fpvm::new`], while the big allocations (cache slot
-    /// arrays, arena slab, scratch buffers) are retained. The cache epoch
-    /// is bumped so no cache entry survives into the next job even when
-    /// the program happens to be identical — merged fleet stats must not
-    /// depend on which jobs shared a worker.
+    /// run state — stats, arena, side table, patch table, rendered output
+    /// — is cleared so a recycled engine behaves bit-identically to a
+    /// fresh [`Fpvm::new`], while the big allocations (site-table slots,
+    /// arena slab, scratch buffers) are retained. The site table needs no
+    /// reset here: every [`Fpvm::run`] starts it empty.
     pub fn recycle(&mut self, config: FpvmConfig) {
-        if config.decode_cache != self.config.decode_cache {
-            self.cache = if config.decode_cache {
-                Box::new(DirectMappedCache::new())
-            } else {
-                Box::new(PassthroughCache)
-            };
-        }
-        if config.emulate_cache != self.config.emulate_cache {
-            self.ecache = if config.emulate_cache {
-                Box::new(DirectMappedEmulateCache::new())
-            } else {
-                Box::new(PassthroughEmulateCache)
-            };
-        }
         self.config = config;
         self.acct.reset_stats();
         let _ = self.acct.take_metrics();
@@ -338,7 +272,6 @@ impl<A: ArithSystem> Fpvm<A> {
         self.patch_allow = None;
         self.rendered.clear();
         self.last_gc_icount = 0;
-        self.cache_epoch += 1;
     }
 
     /// Run the machine under virtualization until it halts or faults.
@@ -356,15 +289,15 @@ impl<A: ArithSystem> Fpvm<A> {
         // every deterministic stat and event the engine observes is
         // bit-identical to the stepped loop (E18 / sblock_pin tests).
         m.set_superblocks(self.config.superblocks, self.config.superblock_cap);
-        // Cache identity = program content fingerprint ⊕ engine epoch: a
-        // re-run of the same program on the same engine keeps its entries,
-        // anything else — different program, same-length different
-        // program, or a recycled engine — starts cold.
-        let fingerprint =
-            m.code_fingerprint() ^ self.cache_epoch.wrapping_mul(0x9E37_79B9_7F4A_7C15);
-        let code_len = m.mem.code_bytes().len();
-        self.cache.prepare(code_len, fingerprint);
-        self.ecache.prepare(code_len, fingerprint);
+        // Every run starts with an empty site table, so the first trap at
+        // each site is a decode miss whatever ran before on this engine.
+        // The decode-cache ablation sizes it to nothing: never filled.
+        let slots = if self.config.decode_cache {
+            m.mem.code_bytes().len()
+        } else {
+            0
+        };
+        self.sites.reset(slots);
         let exit = loop {
             if m.icount >= self.config.max_insts {
                 break ExitReason::Fault(Fault::Budget);

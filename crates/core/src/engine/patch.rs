@@ -5,7 +5,7 @@ use super::accounting::Counter;
 use super::exit::{ExitReason, Stage};
 use super::frame::TrapFrame;
 use super::Fpvm;
-use crate::bound::{has_boxed_src, native_eval, BoundPlan, Dst, Planability};
+use crate::bound::{has_boxed_src, native_eval, static_plan, BoundPlan, Dst};
 use crate::stats::Component;
 use crate::trace::TraceEvent;
 use fpvm_arith::ArithSystem;
@@ -14,9 +14,9 @@ use std::collections::HashMap;
 
 /// One dynamically patched site: the original instruction the patch
 /// replaced, the resume point after it, and — for statically plannable
-/// shapes — its memoized bound-operand plan, so patch-call slow paths
-/// skip the bind stage's instruction-shape match just like the emulate
-/// cache does for traps.
+/// shapes — its memoized bound-operand plan, so patch calls skip the bind
+/// stage's instruction-shape match just like the site table does for
+/// traps.
 #[derive(Debug, Clone, Copy)]
 pub(crate) struct TpSite {
     pub original: Inst,
@@ -27,14 +27,10 @@ pub(crate) struct TpSite {
 impl TpSite {
     /// Record a site, memoizing its plan when the binding is static.
     pub fn new(original: Inst, next_rip: u64) -> Self {
-        let plan = match crate::bound::plan(&original, next_rip) {
-            Planability::Static(p) => Some(p),
-            _ => None,
-        };
         TpSite {
             original,
             next_rip,
-            plan,
+            plan: static_plan(&original, next_rip),
         }
     }
 }
@@ -125,7 +121,8 @@ impl<A: ArithSystem> Fpvm<A> {
         }
         m.patch_code(rip, &bytes);
         self.scratch_code = bytes;
-        self.invalidate_site(rip);
+        // The slot's decode and plan describe the pre-patch instruction.
+        self.sites.invalidate(rip);
         self.patches
             .insert(id, rip, TpSite::new(frame.inst, frame.next_rip()));
         self.acct.tally(Counter::SitesPatched);
@@ -207,8 +204,83 @@ impl<A: ArithSystem> Fpvm<A> {
             m.rip = site.next_rip;
             return Ok(());
         }
-        // Slow path: full emulation through the handler.
+        // Slow path: full emulation of the operands bound above.
         self.acct.tally(Counter::PatchSlow);
-        self.emulate(m, &site.original, site.next_rip)
+        self.emulate_bound(m, &b)
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::super::FpvmConfig;
+    use super::*;
+    use fpvm_arith::Vanilla;
+    use fpvm_machine::{AluOp, Asm, Cond, CostModel, ExtFn, Gpr, Xmm, XM};
+
+    /// Iterated logistic map x <- r·x·(1−x): every iteration traps at the
+    /// same three FP sites.
+    fn logistic_program(iters: i64) -> fpvm_machine::Program {
+        let mut a = Asm::new();
+        let x0 = a.f64m(0.34567);
+        let r = a.f64m(3.71);
+        let one = a.f64m(1.0);
+        a.movsd(Xmm(2), x0);
+        a.mov_ri(Gpr::RCX, 0);
+        let top = a.here_label();
+        let done = a.label();
+        a.cmp_ri(Gpr::RCX, iters);
+        a.jcc(Cond::Ge, done);
+        a.movsd(Xmm(3), one);
+        a.subsd(Xmm(3), Xmm(2));
+        a.mulsd(Xmm(2), r);
+        a.mulsd(Xmm(2), Xmm(3));
+        a.movsd(Xmm(0), XM::Reg(Xmm(2)));
+        a.call_ext(ExtFn::PrintF64);
+        a.alu_ri(AluOp::Add, Gpr::RCX, 1);
+        a.jmp(top);
+        a.bind(done);
+        a.halt();
+        a.finish()
+    }
+
+    fn run(trap_and_patch: bool) -> (Fpvm<Vanilla>, Machine) {
+        let mut m = Machine::new(CostModel::r815());
+        m.load_program(&logistic_program(50));
+        let mut vm = Fpvm::new(
+            Vanilla,
+            FpvmConfig {
+                trap_and_patch,
+                ..FpvmConfig::default()
+            },
+        );
+        vm.run(&mut m);
+        (vm, m)
+    }
+
+    /// `install_patch` clears the site-table slot of every site it
+    /// rewrites: the slot's decode and plan describe the pre-patch
+    /// instruction, and a later lookup must not resurrect it.
+    #[test]
+    fn patched_sites_have_no_table_entry() {
+        let (patched, mut m) = run(true);
+        let sites: Vec<u64> = patched.patches.by_addr.keys().copied().collect();
+        assert!(sites.len() >= 2, "loop FP sites must be patched");
+        // Without patching, the same sites hold entries after the run.
+        let (unpatched, _) = run(false);
+        for &rip in &sites {
+            assert!(patched.sites.get(rip).is_none(), "stale entry at {rip:#x}");
+            assert!(unpatched.sites.get(rip).is_some(), "no entry at {rip:#x}");
+            let (inst, _) = m.fetch(rip).expect("patched site decodes");
+            assert!(
+                matches!(
+                    inst,
+                    Inst::Trap {
+                        kind: TrapKind::PatchCall,
+                        ..
+                    }
+                ),
+                "patched site at {rip:#x} decodes as {inst:?}"
+            );
+        }
     }
 }

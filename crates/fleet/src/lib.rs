@@ -287,19 +287,16 @@ fn deterministic_site(p: &SiteProfile) -> SiteProfile {
 
 /// A reusable per-worker engine stack: one [`Fpvm`] recycled across the
 /// jobs a worker claims, plus one [`Machine`] reloaded per job, so the
-/// expensive allocations (arena slab, cache slot arrays, guest memory,
+/// expensive allocations (arena slab, site-table slots, guest memory,
 /// predecode table, superblock slots) are paid once per worker instead of
 /// once per job.
 ///
-/// Determinism: [`Fpvm::recycle`] resets every piece of run state and
-/// bumps the engine's cache epoch, so no decode/emulate-cache entry — and
-/// no stat, arena cell, patch site, or side-table row — survives from one
-/// job into the next. `Machine::load_program` is hermetic (guest memory
-/// is zeroed above the null guard, all registers and counters reset), and
-/// the machine-side predecode/superblock caches are guarded by the code
-/// content fingerprint: a different program starts them cold, while
-/// re-running an identical program legitimately keeps them warm — the
-/// caches are accounting-invariant either way. A job run on a recycled
+/// Determinism: [`Fpvm::recycle`] resets every piece of run state — stat,
+/// arena cell, patch site, side-table row — and every [`Fpvm::run`]
+/// starts the engine's site table empty, so nothing survives from one job
+/// into the next. `Machine::load_program` is hermetic: guest memory is
+/// zeroed above the null guard, all registers and counters reset, and the
+/// predecode and superblock caches are emptied. A job run on a recycled
 /// engine + machine is bit-identical (on the deterministic views) to the
 /// same job on a fresh stack, which is what keeps the merged fleet report
 /// independent of worker count and job placement. Pinned by

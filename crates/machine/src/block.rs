@@ -48,13 +48,13 @@
 //!
 //! ## Invalidation
 //!
-//! The cache is keyed by code offset and guarded by the same FNV-1a code
-//! fingerprint discipline as the decode/emulate caches: a mismatch (new
-//! program, recycled machine with different code) resets every slot.
-//! [`Machine::patch_code`] invalidates surgically instead — any block
-//! whose byte span overlaps the patched range is dropped (blocks start at
-//! most `longest_block - 1` bytes before the patch), and re-forms
-//! truncated at the patched site on next dispatch.
+//! The cache is keyed by code offset. [`Machine::load_program`] empties
+//! it, and a change of formation cap or cost model resets every slot.
+//! [`Machine::patch_code`] — the only way to rewrite loaded code —
+//! invalidates surgically: any block whose byte span overlaps the patched
+//! range is dropped (blocks start at most `longest_block - 1` bytes
+//! before the patch), and re-forms truncated at the patched site on next
+//! dispatch.
 
 use crate::cost::CostModel;
 use crate::encode::{decode, MAX_INST_LEN};
@@ -131,12 +131,11 @@ pub struct BlockCacheStats {
     pub invalidated: u64,
 }
 
-/// The superblock cache: one slot per code offset, guarded by the code
-/// fingerprint, the formation cap, and the cost model.
+/// The superblock cache: one slot per code offset, guarded by the
+/// formation cap and the cost model.
 #[derive(Debug, Clone, Default)]
 pub(crate) struct BlockCache {
     slots: Vec<Slot>,
-    fingerprint: u64,
     cap: u32,
     /// Cost model the entries' costs were snapshotted under.
     cost: Option<CostModel>,
@@ -147,18 +146,21 @@ pub(crate) struct BlockCache {
 }
 
 impl BlockCache {
-    /// Validate the cache against the current code identity; reset every
-    /// slot on any mismatch (different program, different cap, different
-    /// cost model). O(1) when nothing changed.
-    fn ensure(&mut self, code_len: usize, fingerprint: u64, cap: u32, cost: &CostModel) {
-        let stale = self.slots.len() != code_len
-            || self.fingerprint != fingerprint
-            || self.cap != cap
-            || self.cost.as_ref() != Some(cost);
+    /// Drop every slot (a new program was loaded), keeping the allocation.
+    /// The next dispatch re-sizes the cache in [`BlockCache::ensure`].
+    pub(crate) fn clear(&mut self) {
+        self.slots.clear();
+    }
+
+    /// Size the cache to the code segment; reset every slot on any
+    /// mismatch (cleared by a load, different cap, different cost model).
+    /// O(1) when nothing changed.
+    fn ensure(&mut self, code_len: usize, cap: u32, cost: &CostModel) {
+        let stale =
+            self.slots.len() != code_len || self.cap != cap || self.cost.as_ref() != Some(cost);
         if stale {
             self.slots.clear();
             self.slots.resize(code_len, Slot::Empty);
-            self.fingerprint = fingerprint;
             self.cap = cap;
             self.cost = Some(*cost);
             self.longest = 0;
@@ -169,10 +171,8 @@ impl BlockCache {
     /// every block whose byte span overlaps the patched range, and every
     /// refusal whose verdict could have depended on patched bytes (a
     /// refusal is decided by one instruction, which spans at most
-    /// [`MAX_INST_LEN`] bytes). Records the post-patch fingerprint so the
-    /// surviving slots stay valid — only a *foreign* code change (one that
-    /// bypassed [`Machine::patch_code`]) resets the whole cache.
-    pub(crate) fn note_patch(&mut self, off: usize, len: usize, new_fingerprint: u64) {
+    /// [`MAX_INST_LEN`] bytes). Every other slot stays valid.
+    pub(crate) fn note_patch(&mut self, off: usize, len: usize) {
         let reach = self.longest.max(MAX_INST_LEN).saturating_sub(1);
         let lo = off.saturating_sub(reach);
         let hi = (off + len).min(self.slots.len());
@@ -187,7 +187,6 @@ impl BlockCache {
                 self.slots[s] = Slot::Empty;
             }
         }
-        self.fingerprint = new_fingerprint;
     }
 }
 
@@ -216,12 +215,7 @@ impl Machine {
         // nothing inside a run can touch `self.blocks` (patches only land
         // between `run()` calls).
         let mut cache = std::mem::take(&mut self.blocks);
-        cache.ensure(
-            self.mem.code_bytes().len(),
-            self.mem.code_fingerprint(),
-            self.sb_cap,
-            &self.cost,
-        );
+        cache.ensure(self.mem.code_bytes().len(), self.sb_cap, &self.cost);
         let ev = self.run_block_loop(&mut cache, budget);
         self.blocks = cache;
         ev
@@ -602,8 +596,9 @@ mod tests {
 
     #[test]
     fn cache_resets_on_new_program_same_machine() {
-        // Fleet reuse: loading a *different* program into the same machine
-        // must not serve the old program's blocks (fingerprint discipline).
+        // Fleet reuse: loading a *different* program of the same length
+        // into the same machine must not serve the old program's blocks
+        // (`load_program` empties the cache).
         let build = |imm: i64| {
             let mut a = Asm::new();
             a.mov_ri(Gpr::RAX, 0);

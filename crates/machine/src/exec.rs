@@ -148,7 +148,7 @@ pub struct Machine {
     pub superblocks: bool,
     /// Superblock formation cap (see [`Machine::set_superblocks`]).
     pub(crate) sb_cap: u32,
-    /// The superblock cache (offset-keyed, fingerprint-guarded).
+    /// The superblock cache (offset-keyed; reset by `load_program`).
     pub(crate) blocks: crate::block::BlockCache,
     /// Pre-decoded instruction cache, indexed by code offset (this is the
     /// *hardware* decoder — free; FPVM's software decode cache is separate).
@@ -199,8 +199,10 @@ impl Machine {
         self.icount = 0;
         self.fp_icount = 0;
         self.output.clear();
-        // Keep the allocation (fleet reuse); fetch re-grows it lazily.
+        // Keep the allocations (fleet reuse); fetch and block dispatch
+        // re-grow them lazily.
         self.predecoded.clear();
+        self.blocks.clear();
         if self.taint.is_some() {
             self.taint = Some(Box::default());
         }
@@ -287,19 +289,12 @@ impl Machine {
                 self.predecoded[s] = None;
             }
         }
-        self.blocks
-            .note_patch(off, bytes.len(), self.mem.code_fingerprint());
+        self.blocks.note_patch(off, bytes.len());
     }
 
     /// Charge extra cycles (used by the runtime for delivery/handling).
     pub fn charge(&mut self, cycles: u64) {
         self.cycles += cycles;
-    }
-
-    /// Content fingerprint of the loaded code segment (see
-    /// [`crate::Memory::code_fingerprint`]).
-    pub fn code_fingerprint(&self) -> u64 {
-        self.mem.code_fingerprint()
     }
 
     /// Effective address of a memory operand.

@@ -40,23 +40,6 @@ pub struct Memory {
     pub code_end: u64,
     /// Current heap allocation cursor.
     pub heap_brk: u64,
-    /// FNV-1a hash of the current code segment, maintained by
-    /// [`Memory::load_image`] and [`Memory::patch_code`]. The program's
-    /// *identity* for decode/emulate-cache retention: two different
-    /// programs of identical length must never share cache entries.
-    code_fp: u64,
-}
-
-/// FNV-1a over a byte slice (std has no stable public hasher with a
-/// documented algorithm; the decode caches only need a deterministic
-/// content fingerprint, not cryptographic strength).
-fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in bytes {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(0x100_0000_01b3);
-    }
-    h
 }
 
 impl Memory {
@@ -66,7 +49,6 @@ impl Memory {
             bytes: vec![0; size as usize],
             code_end: CODE_BASE,
             heap_brk: HEAP_BASE,
-            code_fp: fnv1a(&[]),
         }
     }
 
@@ -148,22 +130,14 @@ impl Memory {
         self.code_end = CODE_BASE + code.len() as u64;
         self.bytes[DATA_BASE as usize..DATA_BASE as usize + data.len()].copy_from_slice(data);
         self.heap_brk = HEAP_BASE;
-        self.code_fp = fnv1a(code);
     }
 
-    /// Content fingerprint of the current code segment (cached; updated on
-    /// [`Memory::load_image`] and [`Memory::patch_code`], so reading it is
-    /// O(1) per run).
-    pub fn code_fingerprint(&self) -> u64 {
-        self.code_fp
-    }
-
-    /// Patch code bytes in place (used by the static patcher and the
-    /// trap-and-patch engine). The caller must invalidate any decode caches.
-    pub fn patch_code(&mut self, addr: u64, bytes: &[u8]) {
+    /// Patch code bytes in place. Crate-private: every patch goes through
+    /// [`crate::Machine::patch_code`], whose sweep invalidates the
+    /// predecode and superblock slots the new bytes make stale.
+    pub(crate) fn patch_code(&mut self, addr: u64, bytes: &[u8]) {
         assert!(addr >= CODE_BASE && addr + (bytes.len() as u64) <= self.code_end);
         self.bytes[addr as usize..addr as usize + bytes.len()].copy_from_slice(bytes);
-        self.code_fp = fnv1a(self.code_bytes());
     }
 
     /// Bump-allocate `size` bytes on the heap (16-byte aligned). Returns the
