@@ -1730,8 +1730,7 @@ pub struct FleetPoint {
     pub ns_per_guest_inst: f64,
     /// Throughput relative to the 1-worker point.
     pub speedup: f64,
-    /// Merged deterministic stats + hot-site table bit-identical to the
-    /// 1-worker run?
+    /// Merged deterministic stats bit-identical to the 1-worker run?
     pub deterministic: bool,
     /// More workers than the host exposes cores: the speedup figure
     /// measures scheduling overlap, not parallel throughput. Always true
@@ -1771,9 +1770,8 @@ pub fn fleet(smoke: bool) -> FleetResult {
     // Warm-up pass: touch every code path once so the first measured
     // point doesn't pay one-time costs (page faults, lazy init).
     let _ = run_fleet(&jobs[..2.min(jobs.len())], 1);
-    type FleetBaseline = (f64, fpvm_core::Stats, Vec<(u64, fpvm_core::SiteProfile)>);
     let mut points: Vec<FleetPoint> = Vec::new();
-    let mut base: Option<FleetBaseline> = None;
+    let mut base: Option<(f64, fpvm_core::Stats)> = None;
     let mut guest_icount = 0;
     let mut fp_traps = 0;
     println!(
@@ -1783,18 +1781,17 @@ pub fn fleet(smoke: bool) -> FleetResult {
     for &w in &counts {
         let r = run_fleet(&jobs, w);
         let view = r.merged.deterministic_view();
-        let sites = r.deterministic_hot_sites(usize::MAX);
         let gps = r.guests_per_sec();
         let deterministic = match &base {
             None => {
-                base = Some((gps, view.clone(), sites));
+                base = Some((gps, view));
                 guest_icount = r.icount;
                 fp_traps = r.merged.fp_traps;
                 true
             }
-            Some((_, base_view, base_sites)) => view == *base_view && sites == *base_sites,
+            Some((_, base_view)) => view == *base_view,
         };
-        let speedup = gps / base.as_ref().map(|(g, _, _)| *g).unwrap_or(gps);
+        let speedup = gps / base.as_ref().map(|(g, _)| *g).unwrap_or(gps);
         let p = FleetPoint {
             workers: w as u64,
             wall_ms: r.wall_ns as f64 / 1e6,

@@ -41,21 +41,6 @@ impl SiteProfile {
         self.cycles.total()
     }
 
-    /// Fold another observation of the same site into this one: counters
-    /// and the cycle breakdown sum field-wise, `patched` ORs (the site was
-    /// patched in at least one of the merged runs).
-    pub fn merge(&mut self, other: &SiteProfile) {
-        self.traps += other.traps;
-        self.correctness_traps += other.correctness_traps;
-        self.patch_fast += other.patch_fast;
-        self.patch_slow += other.patch_slow;
-        self.ext_calls += other.ext_calls;
-        for c in Component::ALL {
-            self.cycles.add(c, other.cycles.get(c));
-        }
-        self.patched |= other.patched;
-    }
-
     /// The component that dominates this site's cost.
     pub fn dominant(&self) -> Component {
         Component::ALL
@@ -175,23 +160,6 @@ impl ProfilerSink {
             ));
         }
         s
-    }
-
-    /// Fold another profiler's aggregates into this one: per-site profiles
-    /// merge by RIP (field-wise sums), per-component histograms merge
-    /// bucket-wise, arena-occupancy samples concatenate in call order, and
-    /// the event count sums. Fleet workers each own a profiler and the
-    /// join loop merges them **in job order**, so the merged table is
-    /// independent of how jobs were sharded across workers.
-    pub fn merge(&mut self, other: &ProfilerSink) {
-        for (&rip, p) in &other.sites {
-            self.sites.entry(rip).or_default().merge(p);
-        }
-        for (h, o) in self.hists.iter_mut().zip(other.hists.iter()) {
-            h.merge(o);
-        }
-        self.arena.extend_from_slice(&other.arena);
-        self.events += other.events;
     }
 
     fn at(&mut self, rip: u64) -> &mut SiteProfile {
@@ -368,137 +336,6 @@ mod tests {
             !ProfilerSink::new().report(1).contains("component latency"),
             "no footer with no samples at all"
         );
-    }
-
-    /// A `ProfilerSink` whose every aggregate holds a distinct value
-    /// derived from `seed`, built by feeding real events, so a dropped
-    /// field in any of the three `merge` impls shows up as a mismatch.
-    fn filled(seed: u64, rip: u64) -> ProfilerSink {
-        let mut p = ProfilerSink::new();
-        p.emit(&TraceEvent::TrapBegin {
-            rip,
-            icount: seed,
-            hardware: seed + 1,
-            kernel: seed + 2,
-            user: seed + 3,
-        });
-        p.emit(&TraceEvent::Decode {
-            rip,
-            hit: false,
-            cycles: seed + 4,
-        });
-        p.emit(&TraceEvent::Bind {
-            rip,
-            cycles: seed + 5,
-        });
-        p.emit(&TraceEvent::Emulate {
-            rip,
-            lanes: 2,
-            cycles: seed + 6,
-        });
-        p.emit(&TraceEvent::CorrectnessTrap {
-            rip,
-            site: 1,
-            demoted: true,
-            dispatch_cycles: seed + 7,
-            handler_cycles: seed + 8,
-        });
-        p.emit(&TraceEvent::ExtCall {
-            rip,
-            f: fpvm_machine::ExtFn::Sin,
-            disposition: crate::trace::ExtDisposition::Math,
-            cycles: seed + 9,
-        });
-        p.emit(&TraceEvent::PatchCall {
-            rip,
-            site: 1,
-            fast: seed.is_multiple_of(2),
-            cycles: seed + 10,
-        });
-        p.emit(&TraceEvent::GcPass {
-            icount: seed + 11,
-            before: seed + 12,
-            freed: seed + 13,
-            alive: seed + 14,
-            cycles: seed + 15,
-        });
-        p
-    }
-
-    #[test]
-    fn merge_equals_fieldwise_sum_for_every_aggregate() {
-        let shared_rip = 0x1000u64;
-        let a = filled(100, shared_rip);
-        let mut b = filled(5000, shared_rip);
-        // A site only `b` saw, and a patch-install only `b` saw.
-        b.emit(&TraceEvent::TrapBegin {
-            rip: 0x2000,
-            icount: 0,
-            hardware: 7,
-            kernel: 8,
-            user: 9,
-        });
-        b.emit(&TraceEvent::PatchInstalled {
-            rip: shared_rip,
-            site: 1,
-        });
-        let mut m = a.clone();
-        m.merge(&b);
-        assert_eq!(m.events(), a.events() + b.events());
-        assert_eq!(m.sites().len(), 2, "union of the two site sets");
-        // The shared site's profile is the field-wise sum.
-        let (sa, sb, sm) = (
-            a.site(shared_rip).unwrap(),
-            b.site(shared_rip).unwrap(),
-            m.site(shared_rip).unwrap(),
-        );
-        assert_eq!(sm.traps, sa.traps + sb.traps);
-        assert_eq!(
-            sm.correctness_traps,
-            sa.correctness_traps + sb.correctness_traps
-        );
-        assert_eq!(sm.patch_fast, sa.patch_fast + sb.patch_fast);
-        assert_eq!(sm.patch_slow, sa.patch_slow + sb.patch_slow);
-        assert_eq!(sm.ext_calls, sa.ext_calls + sb.ext_calls);
-        for c in Component::ALL {
-            assert_eq!(
-                sm.cycles.get(c),
-                sa.cycles.get(c) + sb.cycles.get(c),
-                "site component {}",
-                c.label()
-            );
-        }
-        assert!(sm.patched, "patched ORs across runs");
-        assert!(!sa.patched, "merge must not mutate the sources");
-        // The b-only site arrives intact.
-        assert_eq!(m.site(0x2000).unwrap().traps, 1);
-        // Per-component log2 histograms merge bucket-wise.
-        for c in Component::ALL {
-            let (ha, hb, hm) = (a.histogram(c), b.histogram(c), m.histogram(c));
-            assert_eq!(hm.count(), ha.count() + hb.count(), "{}", c.label());
-            assert_eq!(hm.sum(), ha.sum() + hb.sum(), "{}", c.label());
-            assert_eq!(hm.max(), ha.max().max(hb.max()), "{}", c.label());
-            for i in 0..HIST_BUCKETS {
-                assert_eq!(
-                    hm.buckets()[i],
-                    ha.buckets()[i] + hb.buckets()[i],
-                    "{} bucket {i}",
-                    c.label()
-                );
-            }
-        }
-        // Arena-occupancy series concatenate in merge-call order.
-        assert_eq!(
-            m.arena_series().len(),
-            a.arena_series().len() + b.arena_series().len()
-        );
-        assert_eq!(m.arena_series()[0], a.arena_series()[0]);
-        assert_eq!(m.arena_series()[1], b.arena_series()[0]);
-        // Merging into a fresh profiler is a clone of the source's view.
-        let mut z = ProfilerSink::new();
-        z.merge(&a);
-        assert_eq!(z.events(), a.events());
-        assert_eq!(z.hot_sites(10), a.hot_sites(10));
     }
 
     #[test]

@@ -28,8 +28,8 @@
 //! out (`Fpvm::take_trace_sink` → [`dyn TraceSink::downcast`]) instead of
 //! aliasing it through `Rc<RefCell<_>>`. That ownership discipline is what
 //! makes every sink — and therefore the whole engine — [`Send`], so a
-//! fleet worker can own its machine + engine + sinks on its own thread and
-//! hand the sinks back for merging at join (`fpvm-fleet`).
+//! fleet worker can own its machine + engine + sinks on its own thread
+//! (`fpvm-fleet`, which attaches a sink only when it replays a job).
 
 use crate::engine::exit::Stage;
 use fpvm_machine::ExtFn;

@@ -3,10 +3,16 @@
 //! The paper's evaluation runs one guest per FPVM process; this crate runs
 //! a *fleet* of guests across OS threads, one fully-owned engine stack per
 //! worker. It exists because the sink-ownership refactor made the whole
-//! engine [`Send`]: a worker owns its [`Machine`], its [`Fpvm`], its shadow
-//! arena, and its trace sinks, so guests shard across
-//! [`std::thread::scope`] workers with no shared mutable state at all —
-//! the only synchronization is the atomic work-queue cursor.
+//! engine [`Send`]: a worker owns its [`Machine`], its [`Fpvm`] and its
+//! shadow arena, so guests shard across [`std::thread::scope`] workers
+//! with no shared mutable state at all — the only synchronization is the
+//! atomic work-queue cursor.
+//!
+//! Jobs run with the engine's default null sink and record no trace. A
+//! job that needs one is run again with a sink attached
+//! ([`WorkerEngine::replay`]): guest runs are deterministic, so the replay
+//! retraces the first run. The runner does this itself for the
+//! post-mortem of a job that ends in [`ExitReason::RuntimeError`].
 //!
 //! ## Determinism contract
 //!
@@ -16,15 +22,14 @@
 //! 1. Each job is hermetic: it compiles, patches, and runs its own guest
 //!    on its own engine, so no job observes another job's scheduling.
 //! 2. Results are collected *by job index* and merged *in job order* at
-//!    join, so the merged [`Stats`] and [`ProfilerSink`] never depend on
-//!    which worker ran which job or in what order they finished.
+//!    join, so the merged [`Stats`] never depend on which worker ran which
+//!    job or in what order they finished.
 //!
 //! Host-measured wall-time fields are inherently nondeterministic, so the
-//! contract is stated over [`Stats::deterministic_view`] and
-//! [`FleetReport::deterministic_hot_sites`] (the per-site table with the
-//! measured cycle components projected out). The pinned test in
-//! `tests/determinism.rs` runs the same job set at 1, 2, and 4 workers
-//! and asserts exact equality of those views.
+//! contract is stated over [`Stats::deterministic_view`] of the merged
+//! and per-job stats, and over the guest instruction counts. The pinned
+//! test in `tests/determinism.rs` runs the same job set at 1, 2, and 4
+//! workers and asserts exact equality of those views.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -35,8 +40,8 @@ use std::time::{Duration, Instant};
 
 use fpvm_analysis::analyze_and_patch;
 use fpvm_arith::Vanilla;
-use fpvm_core::trace::{FanoutSink, RingBufferSink};
-use fpvm_core::{ExitReason, Fpvm, FpvmConfig, ProfilerSink, SiteProfile, Stats};
+use fpvm_core::trace::{RingBufferSink, TraceSink};
+use fpvm_core::{ExitReason, Fpvm, FpvmConfig, Stats};
 use fpvm_ir::{compile, CompileMode};
 use fpvm_machine::{CostModel, Machine, Program};
 use fpvm_obs::{MetricsRegistry, MetricsSnapshot};
@@ -86,16 +91,23 @@ where
                     let i = next.fetch_add(1, Ordering::Relaxed);
                     let Some(job) = jobs.get(i) else { break };
                     let r = f(&mut w, i, job);
-                    *slots[i].lock().unwrap() = Some(r);
+                    *slots[i].lock().expect(SLOT_POISONED) = Some(r);
                 }
             });
         }
     });
     slots
         .into_iter()
-        .map(|s| s.into_inner().unwrap().expect("every job slot filled"))
+        .map(|s| {
+            s.into_inner()
+                .expect(SLOT_POISONED)
+                .expect("every job slot filled")
+        })
         .collect()
 }
+
+/// Why a result slot's lock can be poisoned.
+const SLOT_POISONED: &str = "a worker panicked while holding a result slot";
 
 /// The named workloads a fleet job can run (the paper's Fig. 12 suite).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -178,7 +190,9 @@ pub struct FleetJob {
     pub spec: GuestSpec,
     /// Engine configuration for this job.
     pub config: FpvmConfig,
-    /// Capacity of the per-job post-mortem [`RingBufferSink`].
+    /// Capacity of the [`RingBufferSink`] that a job ending in
+    /// [`ExitReason::RuntimeError`] is replayed with for its post-mortem
+    /// ([`JobOutcome::ring_tail`]). Healthy jobs record nothing.
     pub ring_capacity: usize,
 }
 
@@ -204,8 +218,6 @@ pub struct JobOutcome {
     pub exit: ExitReason,
     /// The run's statistics.
     pub stats: Stats,
-    /// The run's per-site profile (merged fleet-wide at join).
-    pub profile: ProfilerSink,
     /// Guest instructions retired.
     pub icount: u64,
     /// Guest FP instructions retired natively.
@@ -213,8 +225,9 @@ pub struct JobOutcome {
     /// Host wall time of the run (nondeterministic; excluded from the
     /// determinism contract).
     pub wall_ns: u64,
-    /// The post-mortem ring tail, captured iff the run ended in a
-    /// [`ExitReason::RuntimeError`].
+    /// The post-mortem ring tail iff the run ended in a
+    /// [`ExitReason::RuntimeError`]: the last [`FleetJob::ring_capacity`]
+    /// events of a replay of the job (see [`WorkerEngine::run_job`]).
     pub ring_tail: Option<String>,
     /// The engine's metrics snapshot, iff the job's config had
     /// `FpvmConfig::metrics` on. Folded fleet-wide in job order by
@@ -232,8 +245,6 @@ pub struct FleetReport {
     pub outcomes: Vec<JobOutcome>,
     /// All job [`Stats`] merged in job order.
     pub merged: Stats,
-    /// All job profiles merged in job order.
-    pub profile: ProfilerSink,
     /// Total guest instructions retired across the fleet.
     pub icount: u64,
     /// Total guest FP instructions retired natively.
@@ -253,36 +264,26 @@ impl FleetReport {
         self.wall_ns as f64 / self.icount.max(1) as f64
     }
 
-    /// The hot-site ranking with the host-measured cycle components
-    /// (emulate, GC, correctness handler) projected out of every site, so
-    /// the table — contents *and* order — is bit-identical across worker
-    /// counts. The deterministic components fully determine the ranking
-    /// for any fixed job set.
-    pub fn deterministic_hot_sites(&self, n: usize) -> Vec<(u64, SiteProfile)> {
-        let mut v: Vec<(u64, SiteProfile)> = self
-            .profile
-            .sites()
-            .iter()
-            .map(|(&rip, p)| (rip, deterministic_site(p)))
-            .collect();
-        v.sort_by(|a, b| {
-            b.1.total_cycles()
-                .cmp(&a.1.total_cycles())
-                .then(a.0.cmp(&b.0))
-        });
-        v.truncate(n);
-        v
+    /// Fold per-job outcomes into the report **in job order** — never in
+    /// completion order — so the merged views are identical for every
+    /// worker count. `wall_ns` runs from `start` to now.
+    fn in_job_order(workers: usize, outcomes: Vec<JobOutcome>, start: Instant) -> FleetReport {
+        let mut merged = Stats::default();
+        let (mut icount, mut fp_icount) = (0u64, 0u64);
+        for o in &outcomes {
+            merged.merge(&o.stats);
+            icount += o.icount;
+            fp_icount += o.fp_icount;
+        }
+        FleetReport {
+            workers,
+            outcomes,
+            merged,
+            icount,
+            fp_icount,
+            wall_ns: start.elapsed().as_nanos() as u64,
+        }
     }
-}
-
-/// A [`SiteProfile`] with the host-measured cycle components zeroed —
-/// the per-site analogue of [`Stats::deterministic_view`].
-fn deterministic_site(p: &SiteProfile) -> SiteProfile {
-    let mut q = p.clone();
-    q.cycles.emulate = 0;
-    q.cycles.gc = 0;
-    q.cycles.correctness_handler = 0;
-    q
 }
 
 /// A reusable per-worker engine stack: one [`Fpvm`] recycled across the
@@ -290,6 +291,10 @@ fn deterministic_site(p: &SiteProfile) -> SiteProfile {
 /// expensive allocations (arena slab, site-table slots, guest memory,
 /// predecode table, superblock slots) are paid once per worker instead of
 /// once per job.
+///
+/// Jobs run with the engine's default null sink. [`WorkerEngine::replay`]
+/// runs a job again with a sink attached, which is how the post-mortem
+/// ring of a failed job, or any other trace of a job, is recorded.
 ///
 /// Determinism: [`Fpvm::recycle`] resets every piece of run state — stat,
 /// arena cell, patch site, side-table row — and every [`Fpvm::run`]
@@ -314,7 +319,8 @@ impl Default for WorkerEngine {
 
 impl WorkerEngine {
     /// A fresh engine stack (default configuration; each job's config is
-    /// applied by [`WorkerEngine::run_job`] via recycle).
+    /// applied by [`WorkerEngine::run_job`] and [`WorkerEngine::replay`]
+    /// via recycle).
     pub fn new() -> WorkerEngine {
         WorkerEngine {
             vm: Fpvm::new(Vanilla, FpvmConfig::default()),
@@ -323,8 +329,46 @@ impl WorkerEngine {
     }
 
     /// Run one job to completion on the calling thread, recycling this
-    /// worker's engine for it.
+    /// worker's engine for it. A job that ends in
+    /// [`ExitReason::RuntimeError`] is replayed once with a
+    /// [`RingBufferSink`] of [`FleetJob::ring_capacity`] events, and the
+    /// ring's tail becomes the outcome's `ring_tail`; every other field
+    /// is the first run's.
     pub fn run_job(&mut self, index: usize, job: &FleetJob) -> JobOutcome {
+        let mut outcome = self.execute(index, job);
+        if let ExitReason::RuntimeError(_) = outcome.exit {
+            let ring = Box::new(RingBufferSink::new(job.ring_capacity));
+            let (_, ring) = self.replay(index, job, ring);
+            let ring = ring
+                .downcast::<RingBufferSink>()
+                .expect("replay hands back the sink it was given");
+            outcome.ring_tail = Some(ring.dump());
+        }
+        outcome
+    }
+
+    /// Run `job` again with `sink` attached, and hand the sink back with
+    /// the outcome. The guest is rebuilt from `job.spec` and run on this
+    /// worker's recycled engine and machine, so the replay retires the
+    /// same instructions, reaches the same exit and emits the same events
+    /// as any other run of the job; only host-measured fields (wall time,
+    /// measured cycle components) differ. To stop early, set the job's
+    /// `config.max_insts`: the run then ends in `Fault(Budget)` at exactly
+    /// that instruction count. The returned outcome has no `ring_tail`.
+    pub fn replay(
+        &mut self,
+        index: usize,
+        job: &FleetJob,
+        sink: Box<dyn TraceSink>,
+    ) -> (JobOutcome, Box<dyn TraceSink>) {
+        // `recycle` clears run state, not the installed sink.
+        self.vm.set_trace_sink(sink);
+        let outcome = self.execute(index, job);
+        (outcome, self.vm.take_trace_sink())
+    }
+
+    /// Build the job's guest and run it with the installed sink.
+    fn execute(&mut self, index: usize, job: &FleetJob) -> JobOutcome {
         let start = Instant::now();
         let (name, program, side_table) = match &job.spec {
             GuestSpec::Workload(id, size) => {
@@ -353,33 +397,17 @@ impl WorkerEngine {
         let vm = &mut self.vm;
         vm.recycle(job.config);
         vm.set_side_table(side_table);
-        vm.set_trace_sink(Box::new(FanoutSink::new(vec![
-            Box::new(ProfilerSink::new()),
-            Box::new(RingBufferSink::new(job.ring_capacity)),
-        ])));
         let report = vm.run(m);
-        let metrics = vm.metrics_snapshot();
-        // Teardown: the engine owns the sinks; take the fanout apart to get
-        // the profiler and the post-mortem ring back by value.
-        let fan = vm.take_trace_sink().downcast::<FanoutSink>().unwrap();
-        let mut sinks = fan.into_sinks().into_iter();
-        let profile = *sinks.next().unwrap().downcast::<ProfilerSink>().unwrap();
-        let ring = sinks.next().unwrap().downcast::<RingBufferSink>().unwrap();
-        let ring_tail = match report.exit {
-            ExitReason::RuntimeError(_) => Some(ring.dump()),
-            _ => None,
-        };
         JobOutcome {
             job: index,
             name,
             exit: report.exit,
             stats: report.stats,
-            profile,
             icount: report.icount,
             fp_icount: report.fp_icount,
             wall_ns: start.elapsed().as_nanos() as u64,
-            ring_tail,
-            metrics,
+            ring_tail: None,
+            metrics: vm.metrics_snapshot(),
         }
     }
 }
@@ -396,27 +424,7 @@ pub fn run_fleet(jobs: &[FleetJob], workers: usize) -> FleetReport {
     let outcomes = run_sharded_stateful(jobs, workers, WorkerEngine::new, |w, i, job| {
         w.run_job(i, job)
     });
-    // Merge in job order — never in completion order — so the merged
-    // views are identical for every worker count.
-    let mut merged = Stats::default();
-    let mut profile = ProfilerSink::new();
-    let mut icount = 0u64;
-    let mut fp_icount = 0u64;
-    for o in &outcomes {
-        merged.merge(&o.stats);
-        profile.merge(&o.profile);
-        icount += o.icount;
-        fp_icount += o.fp_icount;
-    }
-    FleetReport {
-        workers,
-        outcomes,
-        merged,
-        profile,
-        icount,
-        fp_icount,
-        wall_ns: start.elapsed().as_nanos() as u64,
-    }
+    FleetReport::in_job_order(workers, outcomes, start)
 }
 
 /// Options for [`run_fleet_observed`]'s live sampler.
@@ -427,7 +435,7 @@ pub struct ObsOptions {
     /// regardless).
     pub sample_interval_ms: u64,
     /// A job is flagged a straggler when its wall time exceeds
-    /// `straggler_factor ×` the fleet-wide p50 job wall time.
+    /// `straggler_factor ×` the median job wall time.
     pub straggler_factor: u64,
 }
 
@@ -488,8 +496,8 @@ pub struct FleetObs {
 
 /// [`run_fleet`] with the observability plane attached: per-worker
 /// heartbeats into a shared [`MetricsRegistry`], a sampler thread
-/// producing a [`FleetSample`] series, straggler detection from the job
-/// wall-time histogram, and the deterministic job-order fold of per-job
+/// producing a [`FleetSample`] series, straggler detection against the
+/// median job wall time, and the deterministic job-order fold of per-job
 /// engine metrics.
 pub fn run_fleet_observed(jobs: &[FleetJob], workers: usize, opts: ObsOptions) -> FleetObs {
     let start = Instant::now();
@@ -568,56 +576,45 @@ pub fn run_fleet_observed(jobs: &[FleetJob], workers: usize, opts: ObsOptions) -
         sealed: true,
     });
 
-    // Straggler detection: a job far beyond the fleet's median wall time.
-    let registry_snap = registry.snapshot();
-    let p50 = registry_snap
-        .histogram("fleet_job_wall_ns")
-        .map(|h| h.p50())
-        .unwrap_or(0);
-    let stragglers = if p50 > 0 && jobs.len() >= 2 {
-        outcomes
-            .iter()
-            .enumerate()
-            .filter(|(_, o)| o.wall_ns > opts.straggler_factor.max(1) * p50)
-            .map(|(i, _)| i)
-            .collect()
-    } else {
-        Vec::new()
-    };
-
-    // Merge in job order — the same canonical fold as `run_fleet`.
-    let mut merged = Stats::default();
-    let mut profile = ProfilerSink::new();
-    let mut icount = 0u64;
-    let mut fp_icount = 0u64;
+    let walls: Vec<u64> = outcomes.iter().map(|o| o.wall_ns).collect();
+    let stragglers = stragglers(&walls, opts.straggler_factor);
+    // Job order, like the `Stats` fold of the report.
     let mut merged_metrics: Option<MetricsSnapshot> = None;
-    for o in &outcomes {
-        merged.merge(&o.stats);
-        profile.merge(&o.profile);
-        icount += o.icount;
-        fp_icount += o.fp_icount;
-        if let Some(m) = &o.metrics {
-            merged_metrics
-                .get_or_insert_with(MetricsSnapshot::new)
-                .merge(m);
-        }
+    for m in outcomes.iter().filter_map(|o| o.metrics.as_ref()) {
+        merged_metrics
+            .get_or_insert_with(MetricsSnapshot::new)
+            .merge(m);
     }
     FleetObs {
-        report: FleetReport {
-            workers,
-            outcomes,
-            merged,
-            profile,
-            icount,
-            fp_icount,
-            wall_ns: start.elapsed().as_nanos() as u64,
-        },
-        registry: registry_snap,
+        report: FleetReport::in_job_order(workers, outcomes, start),
+        registry: registry.snapshot(),
         merged_metrics,
         samples,
         stragglers,
         observed_wall_ns,
     }
+}
+
+/// Indices of the jobs whose wall time exceeds `factor ×` the exact
+/// median of `walls` (the midpoint of the two middle values for an even
+/// count). The median comes from the walls themselves, not from a
+/// bucketed histogram whose upper bound a straggler can raise.
+fn stragglers(walls: &[u64], factor: u64) -> Vec<usize> {
+    let mut sorted = walls.to_vec();
+    sorted.sort_unstable();
+    let n = sorted.len();
+    let median = match n {
+        0 => return Vec::new(),
+        _ if n % 2 == 1 => sorted[n / 2],
+        _ => sorted[n / 2 - 1].midpoint(sorted[n / 2]),
+    };
+    let limit = median.saturating_mul(factor.max(1));
+    walls
+        .iter()
+        .enumerate()
+        .filter(|&(_, &w)| w > limit)
+        .map(|(i, _)| i)
+        .collect()
 }
 
 /// The standard smoke job set: every Fig. 12 workload at `Tiny` plus a
@@ -640,6 +637,8 @@ pub fn smoke_jobs(ensemble: u64) -> Vec<FleetJob> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use fpvm_core::trace::NullSink;
+    use fpvm_core::ProfilerSink;
 
     #[test]
     fn run_sharded_returns_results_in_job_order() {
@@ -745,20 +744,20 @@ mod tests {
 
     #[test]
     fn lorenz_seeds_give_distinct_trajectories_same_sites() {
-        let a = run_job(
-            0,
-            &FleetJob::new(GuestSpec::LorenzSeeded {
+        // Replay each seed with a profiler attached to learn its sites.
+        let profiled = |seed: u64| {
+            let job = FleetJob::new(GuestSpec::LorenzSeeded {
                 size: Size::Tiny,
-                seed: 1,
-            }),
-        );
-        let b = run_job(
-            1,
-            &FleetJob::new(GuestSpec::LorenzSeeded {
-                size: Size::Tiny,
-                seed: 2,
-            }),
-        );
+                seed,
+            });
+            let (o, sink) = WorkerEngine::new().replay(0, &job, Box::new(ProfilerSink::new()));
+            let profile = sink.downcast::<ProfilerSink>().unwrap();
+            let mut sites: Vec<u64> = profile.sites().keys().copied().collect();
+            sites.sort_unstable();
+            (o, sites)
+        };
+        let (a, sa) = profiled(1);
+        let (b, sb) = profiled(2);
         assert_eq!(a.exit, ExitReason::Halted);
         assert_eq!(b.exit, ExitReason::Halted);
         // Distinct trajectories: chaos separates the perturbed initial
@@ -770,16 +769,42 @@ mod tests {
         );
         // …but the binary structure is identical, so both runs trap at
         // the same set of sites.
-        let sa: Vec<u64> = {
-            let mut v: Vec<u64> = a.profile.sites().keys().copied().collect();
-            v.sort_unstable();
-            v
-        };
-        let sb: Vec<u64> = {
-            let mut v: Vec<u64> = b.profile.sites().keys().copied().collect();
-            v.sort_unstable();
-            v
-        };
+        assert!(!sa.is_empty(), "the replay profiles the trapping sites");
         assert_eq!(sa, sb);
+    }
+
+    #[test]
+    fn replay_matches_the_run_and_stops_at_the_jobs_budget() {
+        let mut job = FleetJob::new(GuestSpec::LorenzSeeded {
+            size: Size::Tiny,
+            seed: 3,
+        });
+        let mut w = WorkerEngine::new();
+        let run = w.run_job(0, &job);
+        let (full, _) = w.replay(0, &job, Box::new(RingBufferSink::new(4)));
+        assert_eq!(full.exit, ExitReason::Halted);
+        assert_eq!(full.icount, run.icount);
+        assert_eq!(
+            full.stats.deterministic_view(),
+            run.stats.deterministic_view()
+        );
+        job.config.max_insts = run.icount / 2;
+        let (cut, _) = w.replay(0, &job, Box::new(RingBufferSink::new(4)));
+        assert_eq!(cut.exit, ExitReason::Fault(fpvm_machine::Fault::Budget));
+        assert_eq!(cut.icount, run.icount / 2);
+        // The replay's sink is gone again: the next job records nothing.
+        assert!(w.vm.take_trace_sink().is::<NullSink>());
+    }
+
+    #[test]
+    fn straggler_threshold_uses_the_exact_median() {
+        // Nine 17 ms jobs and one 80 ms job. The log2 histogram's p50 of
+        // these reads 33.5 ms, which put a 4× threshold at 134 ms and hid
+        // the 4.7× job; the exact median is 17 ms.
+        let mut walls = vec![17_000_000u64; 10];
+        walls[6] = 80_000_000;
+        assert_eq!(stragglers(&walls, 4), vec![6]);
+        assert!(stragglers(&walls, 5).is_empty());
+        assert!(stragglers(&[], 4).is_empty());
     }
 }
