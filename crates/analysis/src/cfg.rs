@@ -131,13 +131,14 @@ impl Cfg {
                 Inst::Ret | Inst::Halt => true,
                 _ => false,
             };
-            if terminate {
-                blocks.insert(b.start, cur.take().unwrap().clone());
-                cur = None;
-            } else if leaders.contains(&next) {
+            let falls_into_leader = !terminate && leaders.contains(&next);
+            if falls_into_leader {
                 b.succs.push(next);
-                blocks.insert(b.start, cur.take().unwrap().clone());
-                cur = None;
+            }
+            if terminate || falls_into_leader {
+                if let Some(b) = cur.take() {
+                    blocks.insert(b.start, b);
+                }
             }
         }
         if let Some(b) = cur.take() {

@@ -248,17 +248,20 @@ fn transfer(site: &Site, live: &mut Live, facts: &ObservationFacts) {
 }
 
 /// Apply a block's instructions backward to `live_out`, returning
-/// `live_in`; optionally record the live-after state at each address.
+/// `live_in`; optionally record the live-after state at the addresses
+/// the first set names.
 fn block_backward(
     block: &Block,
     live_out: &Live,
     facts: &ObservationFacts,
-    mut record: Option<&mut HashMap<u64, Live>>,
+    mut record: Option<(&BTreeSet<u64>, &mut HashMap<u64, Live>)>,
 ) -> Live {
     let mut live = live_out.clone();
     for site in block.insts.iter().rev() {
-        if let Some(rec) = record.as_deref_mut() {
-            rec.insert(site.addr, live.clone());
+        if let Some((want, rec)) = record.as_mut() {
+            if want.contains(&site.addr) {
+                rec.insert(site.addr, live.clone());
+            }
         }
         transfer(site, &mut live, facts);
     }
@@ -323,6 +326,7 @@ pub fn demote_unobserved(cfg: &Cfg, sinks: &[Sink], facts: &ObservationFacts) ->
             continue;
         }
         // Second sweep: capture the live-after state at each sink site.
+        let want: BTreeSet<u64> = fsinks.iter().map(|s| s.addr).collect();
         let mut at: HashMap<u64, Live> = HashMap::new();
         for block in &blocks {
             let mut out = Live::default();
@@ -333,7 +337,7 @@ pub fn demote_unobserved(cfg: &Cfg, sinks: &[Sink], facts: &ObservationFacts) ->
                     }
                 }
             }
-            block_backward(block, &out, facts, Some(&mut at));
+            block_backward(block, &out, facts, Some((&want, &mut at)));
         }
         for s in fsinks {
             let Inst::Load { dst, .. } = s.inst else {

@@ -324,20 +324,84 @@ impl MemTypes {
     }
 }
 
+/// A map kept as a vector sorted by key: a clone is one copy, and two maps
+/// intersect in one linear merge. The sets below use `V = ()`.
+#[derive(Debug, Clone)]
+struct VecMap<K, V>(Vec<(K, V)>);
+
+impl<K, V> Default for VecMap<K, V> {
+    fn default() -> Self {
+        VecMap(Vec::new())
+    }
+}
+
+impl<K: Ord + Copy, V: Copy> VecMap<K, V> {
+    fn find(&self, k: K) -> Result<usize, usize> {
+        self.0.binary_search_by(|e| e.0.cmp(&k))
+    }
+
+    fn get(&self, k: K) -> Option<V> {
+        self.find(k).ok().map(|i| self.0[i].1)
+    }
+
+    fn contains(&self, k: K) -> bool {
+        self.find(k).is_ok()
+    }
+
+    fn insert(&mut self, k: K, v: V) {
+        match self.find(k) {
+            Ok(i) => self.0[i].1 = v,
+            Err(i) => self.0.insert(i, (k, v)),
+        }
+    }
+
+    fn remove(&mut self, k: K) {
+        if let Ok(i) = self.find(k) {
+            self.0.remove(i);
+        }
+    }
+
+    fn clear(&mut self) {
+        self.0.clear();
+    }
+
+    /// Keep only the keys `other` also holds, folding `other`'s value into
+    /// each kept one with `join` (true if it changed the value). Returns
+    /// true if a key was dropped or a value changed.
+    fn intersect(&mut self, other: &Self, mut join: impl FnMut(&mut V, V) -> bool) -> bool {
+        let mut changed = false;
+        let mut rest = other.0.iter().peekable();
+        self.0.retain_mut(|(k, v)| {
+            while rest.next_if(|e| e.0 < *k).is_some() {}
+            match rest.peek() {
+                Some(&&(ok, ov)) if ok == *k => {
+                    changed |= join(v, ov);
+                    true
+                }
+                _ => {
+                    changed = true;
+                    false
+                }
+            }
+        });
+        changed
+    }
+}
+
 /// Per-program-point strong-update facts ([`AnalysisConfig::flow_mem`]):
 /// slots/words whose *last* write on every path was a provably-integer
 /// store. A killed location's monotone FP typing is overridden at loads.
-#[derive(Debug, Clone, PartialEq, Default)]
+#[derive(Debug, Clone, Default)]
 struct Kills {
-    slots: BTreeSet<i64>,
-    words: BTreeSet<u64>,
+    slots: VecMap<i64, ()>,
+    words: VecMap<u64, ()>,
 }
 
 impl Kills {
     fn covers(&self, loc: ALoc) -> bool {
         match loc {
-            ALoc::StackOff(o) => self.slots.contains(&(o & !7)),
-            ALoc::GlobalWord(a) => self.words.contains(&(a & !7)),
+            ALoc::StackOff(o) => self.slots.contains(o & !7),
+            ALoc::GlobalWord(a) => self.words.contains(a & !7),
             _ => false,
         }
     }
@@ -347,12 +411,8 @@ impl Kills {
     /// integer store never *adds* FP typing anywhere.
     fn kill(&mut self, loc: ALoc) {
         match loc {
-            ALoc::StackOff(o) => {
-                self.slots.insert(o & !7);
-            }
-            ALoc::GlobalWord(a) => {
-                self.words.insert(a & !7);
-            }
+            ALoc::StackOff(o) => self.slots.insert(o & !7, ()),
+            ALoc::GlobalWord(a) => self.words.insert(a & !7, ()),
             _ => {}
         }
     }
@@ -360,16 +420,14 @@ impl Kills {
     /// An FP (tainted) store: every location it may reach loses its kill.
     fn unkill(&mut self, loc: ALoc, objs: &ObjMap) {
         match loc {
-            ALoc::StackOff(o) => {
-                self.slots.remove(&(o & !7));
-            }
+            ALoc::StackOff(o) => self.slots.remove(o & !7),
             ALoc::StackAny => self.slots.clear(),
-            ALoc::GlobalWord(a) => {
-                self.words.remove(&(a & !7));
-            }
+            ALoc::GlobalWord(a) => self.words.remove(a & !7),
             ALoc::GlobalObj(k) => {
                 let (base, size) = objs.range(k);
-                self.words.retain(|w| !(base..base + size).contains(w));
+                self.words
+                    .0
+                    .retain(|&(w, ())| !(base..base + size).contains(&w));
             }
             ALoc::GlobalAny => self.words.clear(),
             ALoc::HeapSite(_) | ALoc::Heap => {}
@@ -383,20 +441,20 @@ impl Kills {
     /// Join = intersection (a location is killed only if killed on every
     /// incoming path). Returns true if `self` changed.
     fn meet(&mut self, other: &Kills) -> bool {
-        let before = (self.slots.len(), self.words.len());
-        self.slots.retain(|k| other.slots.contains(k));
-        self.words.retain(|k| other.words.contains(k));
-        before != (self.slots.len(), self.words.len())
+        let slots = self.slots.intersect(&other.slots, |_, ()| false);
+        let words = self.words.intersect(&other.words, |_, ()| false);
+        slots || words
     }
 }
 
 /// Per-block register + frame-slot state.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone)]
 struct RegState {
     vals: [AVal; 16],
     taint: [bool; 16],
-    /// Known frame-slot contents (entry-rsp-relative offset → value).
-    slots: BTreeMap<i64, (AVal, bool)>,
+    /// Known frame-slot contents: entry-rsp-relative offset → (value,
+    /// FP-bits taint).
+    slots: VecMap<i64, (AVal, bool)>,
     /// Strong-update facts (populated only under `flow_mem`).
     kills: Kills,
 }
@@ -408,11 +466,14 @@ impl RegState {
         RegState {
             vals,
             taint: [false; 16],
-            slots: BTreeMap::new(),
+            slots: VecMap::default(),
             kills: Kills::default(),
         }
     }
 
+    /// Join `other` into `self`; true if `self` changed. Every change moves
+    /// up a finite-height lattice: a value only climbs (exact → object →
+    /// segment → ⊤), a taint only sets, a slot or kill only disappears.
     fn join(&mut self, other: &RegState, objs: &ObjMap) -> bool {
         let mut changed = false;
         for i in 0..16 {
@@ -427,25 +488,14 @@ impl RegState {
                 changed = true;
             }
         }
-        // Slot maps: keep the intersection of keys, joining values.
-        let keys: Vec<i64> = self.slots.keys().copied().collect();
-        for k in keys {
-            match other.slots.get(&k) {
-                None => {
-                    self.slots.remove(&k);
-                    changed = true;
-                }
-                Some(&(ov, ot)) => {
-                    let (sv, st) = self.slots[&k];
-                    let nv = sv.join(ov, objs);
-                    let nt = st || ot;
-                    if (nv, nt) != (sv, st) {
-                        self.slots.insert(k, (nv, nt));
-                        changed = true;
-                    }
-                }
-            }
-        }
+        // Slots: keep the offsets known on both paths, joining contents.
+        changed |= self.slots.intersect(&other.slots, |(sv, st), (ov, ot)| {
+            let nv = sv.join(ov, objs);
+            let nt = *st || ot;
+            let moved = (nv, nt) != (*sv, *st);
+            (*sv, *st) = (nv, nt);
+            moved
+        });
         changed |= self.kills.meet(&other.kills);
         changed
     }
@@ -516,6 +566,7 @@ pub struct Analysis {
     pub stats: AnalysisStats,
 }
 
+/// A context's frame typing: which of its frame slots may hold FP data.
 struct FnCtx {
     stack_fp: BTreeSet<i64>,
     stack_any: bool,
@@ -544,6 +595,10 @@ struct CallState {
     rets: BTreeMap<CtxKey, AVal>,
 }
 
+/// Outer rounds the k=1 context fixpoint may take before the analysis
+/// falls back to the context-insensitive mode.
+const CTX_ROUND_CAP: usize = 24;
+
 /// Run the analysis on a program image with the paper-faithful default
 /// configuration (one-cell heap summary, first-generation passes only).
 pub fn analyze(p: &Program) -> Analysis {
@@ -554,14 +609,21 @@ pub fn analyze(p: &Program) -> Analysis {
 pub fn analyze_with(p: &Program, acfg: &AnalysisConfig) -> Analysis {
     let cfg = Cfg::build(p);
     let objs = ObjMap::new(p);
-    if acfg.ctx_k1 {
-        if let Some(an) = converge(&cfg, &objs, acfg, p.entry, true) {
-            return an;
-        }
-        // The k=1 context fixpoint hit the round cap: fall back to the
-        // always-converging context-insensitive mode (sound, less precise).
+    let env = Env { acfg, objs: &objs };
+    let layouts: HashMap<u64, FnLayout> = cfg
+        .functions
+        .iter()
+        .filter_map(|&f| Some((f, FnLayout::new(&cfg, f)?)))
+        .collect();
+    let mut solver = Solver::new(&cfg, &env, &layouts, p.entry, acfg.ctx_k1);
+    if !solver.converge() {
+        // The k=1 context fixpoint hit its round cap: fall back to the
+        // context-insensitive mode, which always converges (sound, less
+        // precise).
+        solver = Solver::new(&cfg, &env, &layouts, p.entry, false);
+        solver.converge();
     }
-    converge(&cfg, &objs, acfg, p.entry, false).expect("context-insensitive analysis terminates")
+    solver.finish()
 }
 
 struct Env<'a> {
@@ -593,135 +655,316 @@ fn round_contexts(
     ctxs.into_iter().collect()
 }
 
-fn converge(
-    cfg: &Cfg,
-    objs: &ObjMap,
-    acfg: &AnalysisConfig,
-    root: u64,
-    ctx_on: bool,
-) -> Option<Analysis> {
-    let env = Env { acfg, objs };
-    let mut mem = MemTypes::default();
-    let mut calls = CallState {
-        enabled: ctx_on,
-        inputs: BTreeMap::new(),
-        rets: BTreeMap::new(),
-    };
-    let mut fn_ctxs: HashMap<CtxKey, FnCtx> = HashMap::new();
-    // Functions with no recorded caller after convergence of the called
-    // set: analyzed in the unknown-caller context for soundness (they may
-    // still run through computed control flow).
-    let mut fallbacks: BTreeSet<u64> = BTreeSet::new();
-    let max_rounds = if ctx_on { 24 } else { 16 };
-    // Outer fixpoint over the shared memory typing, frame typing, and
-    // (under ctx_k1) the call summaries.
-    let mut rounds = 0;
-    let mut contexts;
-    loop {
-        rounds += 1;
-        let before_mem = mem.clone();
-        let before_inputs = calls.inputs.clone();
-        let before_rets = calls.rets.clone();
-        let frames_before: BTreeMap<CtxKey, (usize, bool)> = fn_ctxs
-            .iter()
-            .map(|(k, c)| (*k, (c.stack_fp.len(), c.stack_any)))
-            .collect();
-        contexts = round_contexts(cfg, &calls, root, &fallbacks);
-        for &key in &contexts {
-            let ctx = fn_ctxs.entry(key).or_insert_with(FnCtx::new);
-            analyze_function(cfg, key, &env, &mut mem, ctx, &mut calls, None);
-        }
-        let frames_after: BTreeMap<CtxKey, (usize, bool)> = fn_ctxs
-            .iter()
-            .map(|(k, c)| (*k, (c.stack_fp.len(), c.stack_any)))
-            .collect();
-        let stable = mem == before_mem
-            && frames_before == frames_after
-            && calls.inputs == before_inputs
-            && calls.rets == before_rets;
-        if stable {
-            if !ctx_on {
-                break;
-            }
-            // Pull in functions still uncalled at the fixpoint; loop again
-            // if that adds work, otherwise we are done.
-            let called: BTreeSet<u64> = calls.inputs.keys().map(|&(f, _)| f).collect();
-            let new_fb: Vec<u64> = cfg
-                .functions
-                .iter()
-                .copied()
-                .filter(|&f| f != root && !called.contains(&f) && !fallbacks.contains(&f))
-                .collect();
-            if new_fb.is_empty() {
-                break;
-            }
-            fallbacks.extend(new_fb);
-        }
-        if rounds > max_rounds {
-            if ctx_on {
-                return None;
-            }
-            break;
-        }
-    }
-    // Final pass: classify sinks with the converged typing.
-    let mut col = SinkCollector::default();
-    for &key in &contexts {
-        let ctx = fn_ctxs.entry(key).or_insert_with(FnCtx::new);
-        analyze_function(cfg, key, &env, &mut mem, ctx, &mut calls, Some(&mut col));
-    }
-    // Blocks owned by no recovered function are reachable only through
-    // computed control flow the CFG cannot see (e.g. `push addr; ret`);
-    // degrade soundly: every load there is a sink.
-    for (start, block) in &cfg.blocks {
-        if cfg.block_fn.contains_key(start) {
-            continue;
-        }
-        for site in &block.insts {
-            match site.inst {
-                Inst::Load { .. } => col.note_load(site, ALoc::Any, true),
-                Inst::MovQXG { .. } => col.note_sink(site, SinkReason::MovqLeak),
-                Inst::XorPd { .. } | Inst::AndPd { .. } | Inst::OrPd { .. } => {
-                    col.note_sink(site, SinkReason::BitwiseFp)
-                }
-                _ => {}
-            }
-        }
-    }
-    let mut sinks: Vec<Sink> = col.sinks.values().copied().collect();
-    let mut demoted = 0usize;
-    if acfg.liveness {
-        let facts = ObservationFacts {
-            load_slots: col.load_slots,
-            store_slots: col.store_slots,
-        };
-        let dead = liveness::demote_unobserved(cfg, &sinks, &facts);
-        demoted = dead.len();
-        sinks.retain(|s| !dead.contains(&s.addr));
-    }
-    let loads_total = col.load_sink.len();
-    let loads_safe = col.load_sink.values().filter(|&&t| !t).count() + demoted;
-    let sinks_found = sinks.len();
-    Some(Analysis {
-        sinks,
-        stats: AnalysisStats {
-            instructions: cfg.inst_count,
-            blocks: cfg.blocks.len(),
-            functions: cfg.functions.len(),
-            contexts: contexts.len(),
-            loads_total,
-            loads_proven_safe: loads_safe,
-            rounds,
-            sinks_found,
-            sinks_demoted_live: demoted,
-            sinks_patched: 0,
-            sinks_skipped_table_full: 0,
-            sinks_skipped_straddle: 0,
-        },
-    })
+/// One function's blocks in address order, with each block's
+/// intra-procedural successors as indices into the same order. Address
+/// order puts a loop's body before the code after the loop, whether the
+/// loop tests at the top or the bottom, so the worklist settles a loop
+/// before it moves on.
+struct FnLayout<'c> {
+    blocks: Vec<&'c Block>,
+    succs: Vec<Vec<usize>>,
+    /// Index of the entry block.
+    entry: usize,
 }
 
-/// Final-pass accumulator: per-site sink/safety verdicts (unioned across
+impl<'c> FnLayout<'c> {
+    /// `None` if the function owns no block at its entry address.
+    fn new(cfg: &'c Cfg, entry: u64) -> Option<FnLayout<'c>> {
+        let blocks = cfg.function_blocks(entry);
+        let index: HashMap<u64, usize> = blocks
+            .iter()
+            .enumerate()
+            .map(|(i, b)| (b.start, i))
+            .collect();
+        let succs = blocks
+            .iter()
+            .map(|b| {
+                b.succs
+                    .iter()
+                    .filter_map(|s| index.get(s).copied())
+                    .collect()
+            })
+            .collect();
+        Some(FnLayout {
+            entry: *index.get(&entry)?,
+            blocks,
+            succs,
+        })
+    }
+}
+
+/// A context's solver state, kept from one outer round to the next.
+struct CtxState {
+    frame: FnCtx,
+    /// Block-entry states, indexed like the function's [`FnLayout`];
+    /// `None` until the block is reached.
+    entries: Vec<Option<RegState>>,
+}
+
+/// The state a context starts from: ⊤ registers, or under `ctx_k1` the
+/// arguments its call site passes.
+fn entry_state(key: CtxKey, calls: &CallState) -> RegState {
+    let mut start = RegState::entry();
+    if calls.enabled && key.1 != 0 {
+        if let Some(args) = calls.inputs.get(&key) {
+            for (i, &r) in INT_ARGS.iter().enumerate() {
+                start.vals[r] = args[i];
+            }
+        }
+    }
+    start
+}
+
+/// The outer fixpoint over the shared memory typing, frame typing and
+/// (under `ctx_k1`) the call summaries.
+///
+/// Rounds are warm-started: every context keeps its block-entry states
+/// from the round before. The shared typing only grows between rounds, so
+/// the last round's fixpoint lies below the next one and is a valid
+/// start; each round re-visits every reached block, because any of them
+/// may read what grew. Sinks are then classified in one sweep over the
+/// converged states ([`Solver::finish`]).
+struct Solver<'a> {
+    cfg: &'a Cfg,
+    env: &'a Env<'a>,
+    layouts: &'a HashMap<u64, FnLayout<'a>>,
+    root: u64,
+    mem: MemTypes,
+    calls: CallState,
+    ctxs: BTreeMap<CtxKey, CtxState>,
+    /// Functions with no recorded caller after convergence of the called
+    /// set: analyzed in the unknown-caller context for soundness (they may
+    /// still run through computed control flow).
+    fallbacks: BTreeSet<u64>,
+    /// The last round's contexts.
+    contexts: Vec<CtxKey>,
+    rounds: usize,
+    /// The state a visit runs its block on, reused by every visit.
+    scratch: RegState,
+}
+
+impl<'a> Solver<'a> {
+    fn new(
+        cfg: &'a Cfg,
+        env: &'a Env<'a>,
+        layouts: &'a HashMap<u64, FnLayout<'a>>,
+        root: u64,
+        ctx_on: bool,
+    ) -> Solver<'a> {
+        Solver {
+            cfg,
+            env,
+            layouts,
+            root,
+            mem: MemTypes::default(),
+            calls: CallState {
+                enabled: ctx_on,
+                inputs: BTreeMap::new(),
+                rets: BTreeMap::new(),
+            },
+            ctxs: BTreeMap::new(),
+            fallbacks: BTreeSet::new(),
+            contexts: Vec::new(),
+            rounds: 0,
+            scratch: RegState::entry(),
+        }
+    }
+
+    /// Each context's frame-typing size, for the round's change check.
+    fn frames(&self) -> Vec<(CtxKey, usize, bool)> {
+        self.ctxs
+            .iter()
+            .map(|(k, c)| (*k, c.frame.stack_fp.len(), c.frame.stack_any))
+            .collect()
+    }
+
+    /// Run rounds until one changes nothing shared. Returns false if the
+    /// k=1 context fixpoint passes [`CTX_ROUND_CAP`] rounds first.
+    ///
+    /// The context-insensitive fixpoint needs no cap. Block states only
+    /// climb a finite-height lattice, across rounds too, and the values
+    /// they hold do not depend on the memory typing (only taints do). So
+    /// the locations the program can mark as FP form a finite set, and
+    /// every round but the last marks a new one.
+    fn converge(&mut self) -> bool {
+        loop {
+            self.rounds += 1;
+            let before_mem = self.mem.clone();
+            let before_inputs = self.calls.inputs.clone();
+            let before_rets = self.calls.rets.clone();
+            let frames_before = self.frames();
+            self.contexts = round_contexts(self.cfg, &self.calls, self.root, &self.fallbacks);
+            for i in 0..self.contexts.len() {
+                self.solve(self.contexts[i]);
+            }
+            let stable = self.mem == before_mem
+                && self.frames() == frames_before
+                && self.calls.inputs == before_inputs
+                && self.calls.rets == before_rets;
+            if stable {
+                if !self.calls.enabled {
+                    return true;
+                }
+                // Pull in functions still uncalled at the fixpoint; loop
+                // again if that adds work, otherwise we are done.
+                let called: BTreeSet<u64> = self.calls.inputs.keys().map(|&(f, _)| f).collect();
+                let new_fb: Vec<u64> = self
+                    .cfg
+                    .functions
+                    .iter()
+                    .copied()
+                    .filter(|&f| {
+                        f != self.root && !called.contains(&f) && !self.fallbacks.contains(&f)
+                    })
+                    .collect();
+                if new_fb.is_empty() {
+                    return true;
+                }
+                self.fallbacks.extend(new_fb);
+            }
+            if self.calls.enabled && self.rounds > CTX_ROUND_CAP {
+                return false;
+            }
+        }
+    }
+
+    /// Bring one context's block states to a fixpoint under the current
+    /// shared typing, starting from where its last solve left them.
+    fn solve(&mut self, key: CtxKey) {
+        let lay = self.layouts.get(&key.0);
+        let n = lay.map_or(0, |l| l.blocks.len());
+        let st = self.ctxs.entry(key).or_insert_with(|| CtxState {
+            frame: FnCtx::new(),
+            entries: vec![None; n],
+        });
+        let Some(lay) = lay else {
+            return;
+        };
+        let start = entry_state(key, &self.calls);
+        match &mut st.entries[lay.entry] {
+            Some(e) => {
+                e.join(&start, self.env.objs);
+            }
+            e @ None => *e = Some(start),
+        }
+        // The lowest pending index (address order) runs next; a block
+        // queued twice runs once.
+        let mut pending: BTreeSet<usize> = (0..n).filter(|&b| st.entries[b].is_some()).collect();
+        while let Some(b) = pending.pop_first() {
+            let Some(entry) = &st.entries[b] else {
+                continue;
+            };
+            self.scratch.clone_from(entry);
+            for site in &lay.blocks[b].insts {
+                transfer(
+                    site,
+                    &mut self.scratch,
+                    self.env,
+                    &mut self.mem,
+                    &mut st.frame,
+                    &mut self.calls,
+                    key,
+                    None,
+                );
+            }
+            for &succ in &lay.succs[b] {
+                match &mut st.entries[succ] {
+                    Some(e) => {
+                        if e.join(&self.scratch, self.env.objs) {
+                            pending.insert(succ);
+                        }
+                    }
+                    e @ None => {
+                        *e = Some(self.scratch.clone());
+                        pending.insert(succ);
+                    }
+                }
+            }
+        }
+    }
+
+    /// Classify sinks in one sweep over the converged block states, then
+    /// assemble the result.
+    fn finish(mut self) -> Analysis {
+        let cfg = self.cfg;
+        let acfg = self.env.acfg;
+        let mut col = SinkCollector::default();
+        for &key in &self.contexts {
+            let (Some(lay), Some(st)) = (self.layouts.get(&key.0), self.ctxs.get_mut(&key)) else {
+                continue;
+            };
+            for (block, entry) in lay.blocks.iter().zip(&st.entries) {
+                let Some(entry) = entry else {
+                    continue;
+                };
+                self.scratch.clone_from(entry);
+                for site in &block.insts {
+                    transfer(
+                        site,
+                        &mut self.scratch,
+                        self.env,
+                        &mut self.mem,
+                        &mut st.frame,
+                        &mut self.calls,
+                        key,
+                        Some(&mut col),
+                    );
+                }
+            }
+        }
+        // Blocks owned by no recovered function are reachable only through
+        // computed control flow the CFG cannot see (e.g. `push addr; ret`);
+        // degrade soundly: every load there is a sink.
+        for (start, block) in &cfg.blocks {
+            if cfg.block_fn.contains_key(start) {
+                continue;
+            }
+            for site in &block.insts {
+                match site.inst {
+                    Inst::Load { .. } => col.note_load(site, ALoc::Any, true),
+                    Inst::MovQXG { .. } => col.note_sink(site, SinkReason::MovqLeak),
+                    Inst::XorPd { .. } | Inst::AndPd { .. } | Inst::OrPd { .. } => {
+                        col.note_sink(site, SinkReason::BitwiseFp)
+                    }
+                    _ => {}
+                }
+            }
+        }
+        let mut sinks: Vec<Sink> = col.sinks.values().copied().collect();
+        let mut demoted = 0usize;
+        if acfg.liveness {
+            let facts = ObservationFacts {
+                load_slots: col.load_slots,
+                store_slots: col.store_slots,
+            };
+            let dead = liveness::demote_unobserved(cfg, &sinks, &facts);
+            demoted = dead.len();
+            sinks.retain(|s| !dead.contains(&s.addr));
+        }
+        let loads_total = col.load_sink.len();
+        let loads_safe = col.load_sink.values().filter(|&&t| !t).count() + demoted;
+        let sinks_found = sinks.len();
+        Analysis {
+            sinks,
+            stats: AnalysisStats {
+                instructions: cfg.inst_count,
+                blocks: cfg.blocks.len(),
+                functions: cfg.functions.len(),
+                contexts: self.contexts.len(),
+                loads_total,
+                loads_proven_safe: loads_safe,
+                rounds: self.rounds,
+                sinks_found,
+                sinks_demoted_live: demoted,
+                sinks_patched: 0,
+                sinks_skipped_table_full: 0,
+                sinks_skipped_straddle: 0,
+            },
+        }
+    }
+}
+
+/// Sweep accumulator: per-site sink/safety verdicts (unioned across
 /// contexts) plus the slot resolutions the liveness pass consumes.
 #[derive(Default)]
 struct SinkCollector {
@@ -770,78 +1013,6 @@ fn note_slot(map: &mut BTreeMap<u64, Option<i64>>, addr: u64, loc: ALoc) {
             }
         })
         .or_insert(slot);
-}
-
-fn analyze_function(
-    cfg: &Cfg,
-    key: CtxKey,
-    env: &Env,
-    mem: &mut MemTypes,
-    ctx: &mut FnCtx,
-    calls: &mut CallState,
-    mut collect: Option<&mut SinkCollector>,
-) {
-    let (entry, ctxsite) = key;
-    let blocks: Vec<&Block> = cfg.function_blocks(entry);
-    if blocks.is_empty() {
-        return;
-    }
-    let mut start = RegState::entry();
-    if calls.enabled && ctxsite != 0 {
-        if let Some(args) = calls.inputs.get(&key) {
-            for (i, &r) in INT_ARGS.iter().enumerate() {
-                start.vals[r] = args[i];
-            }
-        }
-    }
-    let mut states: HashMap<u64, RegState> = HashMap::new();
-    states.insert(entry, start);
-    let mut worklist: Vec<u64> = vec![entry];
-    let mut visits: HashMap<u64, usize> = HashMap::new();
-    while let Some(b) = worklist.pop() {
-        let v = visits.entry(b).or_insert(0);
-        *v += 1;
-        if *v > 100 {
-            continue;
-        }
-        let Some(block) = cfg.blocks.get(&b) else {
-            continue;
-        };
-        if cfg.block_fn.get(&b) != Some(&entry) {
-            continue;
-        }
-        let Some(mut s) = states.get(&b).cloned() else {
-            continue;
-        };
-        for site in &block.insts {
-            transfer(
-                site,
-                &mut s,
-                env,
-                mem,
-                ctx,
-                calls,
-                key,
-                collect.as_deref_mut(),
-            );
-        }
-        for &succ in &block.succs {
-            if cfg.block_fn.get(&succ) != Some(&entry) {
-                continue;
-            }
-            match states.get_mut(&succ) {
-                Some(st) => {
-                    if st.join(&s, env.objs) {
-                        worklist.push(succ);
-                    }
-                }
-                None => {
-                    states.insert(succ, s.clone());
-                    worklist.push(succ);
-                }
-            }
-        }
-    }
 }
 
 fn classify_addr(s: &RegState, m: &Mem, objs: &ObjMap) -> ALoc {
@@ -1004,8 +1175,8 @@ fn transfer(
         Load { dst, addr, w } => {
             let loc = classify_addr(s, addr, objs);
             let (val, mut taint) = match loc {
-                ALoc::StackOff(o) => match s.slots.get(&(o & !7)) {
-                    Some(&(v, t)) => (v, t),
+                ALoc::StackOff(o) => match s.slots.get(o & !7) {
+                    Some(vt) => vt,
                     None => (AVal::Top, mem.maybe_fp(loc, ctx, objs)),
                 },
                 _ => (AVal::Top, mem.maybe_fp(loc, ctx, objs)),
@@ -1109,8 +1280,8 @@ fn transfer(
             let rsp = Gpr::RSP.0 as usize;
             let (val, mut taint) = match s.vals[rsp] {
                 AVal::Stack(o) => {
-                    let (v, mut t) = match s.slots.get(&(o & !7)) {
-                        Some(&(v, t)) => (v, t),
+                    let (v, mut t) = match s.slots.get(o & !7) {
+                        Some(vt) => vt,
                         None => (AVal::Top, mem.maybe_fp(ALoc::StackOff(o), ctx, objs)),
                     };
                     if fm && s.kills.covers(ALoc::StackOff(o)) {
@@ -1794,6 +1965,76 @@ mod tests {
         assert!(
             an.sinks.iter().any(|s| s.reason == SinkReason::IntLoadOfFp),
             "a load tainted in any context must remain a sink"
+        );
+    }
+
+    /// A loop copies frame slots down a chain of `k`, last slot first, so
+    /// the pointer to `arr` in slot 0 reaches slot `k` only on the loop's
+    /// `k`-th trip (slots 1..=k start out pointing at `dummy`). Each trip
+    /// reads slot `k`, shifts the chain, then stores 1/3 through the
+    /// pointer it read, so the last of the `k + 1` trips writes `arr[0]`.
+    /// After the loop an integer load reads `arr[0]`. Returns the program
+    /// and the address of that load.
+    fn slot_chain(k: i64) -> (Program, u64) {
+        let mut a = Asm::new();
+        let arr = a.i64_array("arr", &[0; 2]);
+        let dummy = a.global("dummy", 8);
+        let one = a.f64m(1.0);
+        let three = a.f64m(3.0);
+        a.alu_ri(AluOp::Sub, Gpr::RSP, 8 * (k + 1));
+        a.mov_ri(Gpr::RAX, arr as i64);
+        a.store(Mem::base_disp(Gpr::RSP, 0), Gpr::RAX);
+        a.mov_ri(Gpr::RAX, dummy as i64);
+        for j in 1..=k {
+            a.store(Mem::base_disp(Gpr::RSP, 8 * j), Gpr::RAX);
+        }
+        a.mov_ri(Gpr::RCX, 0);
+        let top = a.here_label();
+        a.load(Gpr::RBX, Mem::base_disp(Gpr::RSP, 8 * k));
+        for j in (1..=k).rev() {
+            a.load(Gpr::RAX, Mem::base_disp(Gpr::RSP, 8 * (j - 1)));
+            a.store(Mem::base_disp(Gpr::RSP, 8 * j), Gpr::RAX);
+        }
+        a.movsd(Xmm(0), one);
+        a.divsd(Xmm(0), three); // inexact: traps, so the result is boxed
+        a.movsd(Mem::base_disp(Gpr::RBX, 0), Xmm(0));
+        a.alu_ri(AluOp::Add, Gpr::RCX, 1);
+        a.cmp_ri(Gpr::RCX, k + 1);
+        a.jcc(Cond::L, top);
+        let load_at = a.here();
+        a.load(Gpr::RDX, Mem::abs(arr as i64));
+        a.halt();
+        (a.finish(), load_at)
+    }
+
+    #[test]
+    fn long_slot_chain_keeps_its_sink() {
+        // The loop block needs k + 1 visits before the FP store's pointer
+        // widens to the data segment. A per-block visit cap used
+        // to stop it short at k = 100 and drop the sink without telling
+        // anyone; unpatched, the load then read the NaN box.
+        use fpvm_arith::Vanilla;
+        use fpvm_core::{ExitReason, Fpvm, FpvmConfig};
+        use fpvm_machine::{CostModel, Machine};
+        let (p, load_at) = slot_chain(100);
+        let an = analyze(&p);
+        assert!(
+            an.sinks
+                .iter()
+                .any(|s| s.addr == load_at && s.reason == SinkReason::IntLoadOfFp),
+            "the load of the FP-written word must be a sink: {:?}",
+            an.sinks
+        );
+        let patched = crate::patch::analyze_and_patch(&p);
+        let mut m = Machine::new(CostModel::r815());
+        m.load_program(&patched.program);
+        let mut vm = Fpvm::new(Vanilla, FpvmConfig::default());
+        vm.set_side_table(patched.side_table.clone());
+        assert_eq!(vm.run(&mut m).exit, ExitReason::Halted);
+        assert_eq!(
+            m.gpr[Gpr::RDX.0 as usize],
+            (1.0f64 / 3.0).to_bits(),
+            "the integer load must see the demoted double, not its box"
         );
     }
 
